@@ -1,6 +1,7 @@
 #include "checker/checker.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -249,7 +250,63 @@ std::vector<GuideStep> ResolveSteps(const model::SystemModel& model,
 // failure flags, interleaving index) participate: they fix the entire
 // step content, so comparing the rest would be redundant.
 
-int CompareStepIdentity(const TraceStep& a, const TraceStep& b) {
+/// The coordinates that order counter-example steps, by stable names.
+/// Views point into the step or the model, which outlive the identity.
+struct StepIdentity {
+  std::string_view kind;
+  std::string_view device;
+  std::string_view attribute;
+  std::string value;  // built: numeric value names are formatted
+  std::string_view app;
+  bool sensor_offline = false;
+  bool actuator_offline = false;
+  bool comm_fail = false;
+  int outcome_index = 0;
+};
+
+StepIdentity IdentityOf(const TraceStep& step) {
+  return {step.kind,           step.device,    step.attribute,
+          step.value,          step.app,       step.sensor_offline,
+          step.actuator_offline, step.comm_fail, step.outcome_index};
+}
+
+/// The identity MakeStep would record for this (event, failure,
+/// interleaving), built without the rest of the step.
+StepIdentity IdentityOf(const model::SystemModel& model,
+                        const model::ExternalEvent& event,
+                        const model::FailureScenario& failure,
+                        int outcome_index) {
+  StepIdentity id;
+  switch (event.kind) {
+    case model::ExternalEventSpec::Kind::kSensor: {
+      const devices::Device& device = model.devices()[event.device];
+      const devices::AttributeSpec& attr = *device.attributes()[event.attribute];
+      id.kind = "sensor";
+      id.device = device.id();
+      id.attribute = attr.name;
+      id.value = attr.ValueName(event.value);
+      break;
+    }
+    case model::ExternalEventSpec::Kind::kAppTouch:
+      id.kind = "app_touch";
+      id.app = model.apps()[event.app].config.label;
+      break;
+    case model::ExternalEventSpec::Kind::kTimerTick:
+      id.kind = "timer";
+      break;
+    case model::ExternalEventSpec::Kind::kUserModeChange:
+      id.kind = "user_mode";
+      id.value = model.modes()[event.value];
+      break;
+  }
+  id.sensor_offline = failure.sensor_offline;
+  id.actuator_offline = failure.actuator_offline;
+  id.comm_fail = failure.comm_fail;
+  id.outcome_index = outcome_index;
+  return id;
+}
+
+int CompareStepIdentity(const StepIdentity& a, const StepIdentity& b) {
   if (int c = a.kind.compare(b.kind)) return c;
   if (int c = a.device.compare(b.device)) return c;
   if (int c = a.attribute.compare(b.attribute)) return c;
@@ -266,12 +323,17 @@ int CompareStepIdentity(const TraceStep& a, const TraceStep& b) {
   return 0;
 }
 
-int ComparePaths(const std::vector<TraceStep>& a, const std::string& a_detail,
+/// Orders two counter-examples: fewer steps first, then step by step by
+/// identity, then by detail.  `a_step(i)` yields the identity of step i
+/// of path a, so a compact search path compares against recorded
+/// TraceSteps without building them.
+template <typename StepA>
+int ComparePaths(std::size_t a_size, StepA a_step, const std::string& a_detail,
                  const std::vector<TraceStep>& b,
                  const std::string& b_detail) {
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (int c = CompareStepIdentity(a[i], b[i])) return c;
+  if (a_size != b.size()) return a_size < b.size() ? -1 : 1;
+  for (std::size_t i = 0; i < a_size; ++i) {
+    if (int c = CompareStepIdentity(a_step(i), IdentityOf(b[i]))) return c;
   }
   return a_detail.compare(b_detail);
 }
@@ -290,7 +352,9 @@ void MergeViolationInto(Violation& existing, Violation v) {
     }
     if (!known) existing.apps.push_back(std::move(app));
   }
-  if (ComparePaths(v.steps, v.detail, existing.steps, existing.detail) < 0) {
+  auto step = [&v](std::size_t i) { return IdentityOf(v.steps[i]); };
+  if (ComparePaths(v.steps.size(), step, v.detail, existing.steps,
+                   existing.detail) < 0) {
     existing.steps = std::move(v.steps);
     existing.detail = std::move(v.detail);
     existing.depth = v.depth;
@@ -436,9 +500,15 @@ class Search {
         owned_footprints_(MakeFootprints(model, options, shared)),
         footprints_(shared != nullptr ? shared->footprints
                                       : owned_footprints_.get()),
-        engine_(model, footprints_),
+        engine_(model, footprints_, /*notes=*/guide != nullptr),
+        noted_engine_(model, footprints_, /*notes=*/true),
         guide_(guide),
         shared_(shared) {
+    for (const props::Property& property : model_.active_properties()) {
+      const props::Property*& slot =
+          monitors_[static_cast<std::size_t>(property.kind)];
+      if (slot == nullptr) slot = &property;
+    }
     if (shared_ != nullptr) {
       store_ = shared_->store;
       codec_ = shared_->codec;
@@ -512,7 +582,10 @@ class Search {
   // construction (member-init order).
   std::unique_ptr<model::FootprintIndex> owned_footprints_;
   const model::FootprintIndex* footprints_ = nullptr;
+  // engine_ keeps no notes in the free search; noted_engine_ re-applies
+  // the steps of a recorded violation to build its forensics.
   model::CascadeEngine engine_;
+  model::CascadeEngine noted_engine_;
   const std::vector<GuideStep>* guide_;
   SharedSearch* shared_;
   std::unique_ptr<StateStore> owned_store_;
@@ -530,12 +603,36 @@ class Search {
   // Handed to the cascade engine so budgets are honored between drains.
   model::CancelFn cancel_;
 
-  // Current DFS path context: structured trace steps, and causality data
-  // for violation charging — which app actuated which device, and which
+  /// One external-event step of the current DFS path, kept compact: what
+  /// re-executes it, plus the live state it started from and the outcome
+  /// it took.
+  /// Both pointers target DFS frames that outlive the step's time on
+  /// the path.  Full TraceSteps are built from these only when a
+  /// violation is recorded (BuildSteps).
+  struct PathStep {
+    model::ExternalEvent event;
+    model::FailureScenario failure;
+    int outcome_index = 0;
+    const model::SystemState* before = nullptr;
+    const model::StepOutcome* outcome = nullptr;
+  };
+
+  // Current DFS path context: the compact steps, and causality data for
+  // violation charging — which app actuated which device, and which
   // apps changed the location mode, along the path.
-  std::vector<TraceStep> path_steps_;
+  std::vector<PathStep> path_;
   std::vector<std::pair<int, int>> path_actuations_;
   std::vector<int> path_mode_setters_;
+
+  // The first active property of each kind (null = inactive), resolved
+  // once per search for the monitors; kRobustness is the last kind.
+  std::array<const props::Property*,
+             static_cast<std::size_t>(props::PropertyKind::kRobustness) + 1>
+      monitors_{};
+
+  const props::Property* Monitor(props::PropertyKind kind) const {
+    return monitors_[static_cast<std::size_t>(kind)];
+  }
 
   bool BudgetExceeded() {
     if (stopped_) return true;
@@ -775,6 +872,41 @@ class Search {
     return step;
   }
 
+  /// Full TraceSteps for the current path: the one place counter-example
+  /// forensics are built.  Without notes in the search, each step is
+  /// re-applied with notes on; Apply is deterministic, so the re-run
+  /// reproduces the recorded outcome with its Fig. 7 lines.
+  std::vector<TraceStep> BuildSteps() const {
+    std::vector<TraceStep> steps;
+    steps.reserve(path_.size());
+    for (std::size_t d = 0; d < path_.size(); ++d) {
+      const PathStep& step = path_[d];
+      const int depth = static_cast<int>(d);
+      if (guide_ != nullptr) {  // the guided engine keeps notes
+        steps.push_back(MakeStep(*step.before, step.event, step.failure,
+                                 *step.outcome, depth, step.outcome_index));
+        continue;
+      }
+      const std::vector<model::StepOutcome> outcomes = noted_engine_.Apply(
+          *step.before, step.event, step.failure, options_.scheduling);
+      steps.push_back(MakeStep(
+          *step.before, step.event, step.failure,
+          outcomes.at(static_cast<std::size_t>(step.outcome_index)), depth,
+          step.outcome_index));
+    }
+    return steps;
+  }
+
+  /// ComparePaths of the current (compact) path against a recorded one.
+  int ComparePathTo(const std::string& detail, const Violation& recorded) const {
+    auto step = [this](std::size_t i) {
+      const PathStep& p = path_[i];
+      return IdentityOf(model_, p.event, p.failure, p.outcome_index);
+    };
+    return ComparePaths(path_.size(), step, detail, recorded.steps,
+                        recorded.detail);
+  }
+
   Violation* RecordViolation(const props::Property& property, int depth,
                              const std::string& failure_label,
                              const std::string& detail,
@@ -795,9 +927,8 @@ class Search {
           }
           if (!known) existing.apps.push_back(label);
         }
-        if (ComparePaths(path_steps_, detail, existing.steps,
-                         existing.detail) < 0) {
-          existing.steps = path_steps_;
+        if (ComparePathTo(detail, existing) < 0) {
+          existing.steps = BuildSteps();
           existing.detail = detail;
           existing.depth = depth;
           existing.failure = failure_label;
@@ -810,7 +941,7 @@ class Search {
     violation.category = property.category;
     violation.description = property.description;
     violation.kind = property.kind;
-    violation.steps = path_steps_;
+    violation.steps = BuildSteps();
     violation.detail = detail;
     for (int app : charged_apps) {
       violation.apps.push_back(model_.apps()[app].config.label);
@@ -868,24 +999,10 @@ class Search {
     }
   }
 
-  bool MonitorActive(props::PropertyKind kind) const {
-    for (const props::Property& property : model_.active_properties()) {
-      if (property.kind == kind) return true;
-    }
-    return false;
-  }
-
-  const props::Property& MonitorProperty(props::PropertyKind kind) const {
-    for (const props::Property& property : model_.active_properties()) {
-      if (property.kind == kind) return property;
-    }
-    throw Error("monitor property not active");
-  }
-
   void RunMonitors(const model::CascadeLog& log, int depth,
-                   const model::FailureScenario& failure) {
+                   const model::FailureScenario& failure,
+                   const std::string& failure_label) {
     if (stopped_) return;
-    const std::string failure_label = failure.Any() ? failure.Label() : "";
 
     // Conflicting / repeated commands (Algorithm 1, line 16).  Each
     // cascade records at most one violation per monitor kind (the first
@@ -893,7 +1010,8 @@ class Search {
     // records — unlike a whole-run short-circuit, this keeps occurrence
     // counts a pure function of the explored-edge set, and therefore
     // identical across serial and parallel schedules.
-    if (MonitorActive(props::PropertyKind::kNoConflict)) {
+    if (const props::Property* monitor =
+            Monitor(props::PropertyKind::kNoConflict)) {
       bool recorded = false;
       for (std::size_t i = 0; i < log.commands.size() && !recorded; ++i) {
         for (std::size_t j = i + 1; j < log.commands.size(); ++j) {
@@ -905,8 +1023,7 @@ class Search {
                         a.spec->conflicts_with.end(),
                         b.spec->name) != a.spec->conflicts_with.end();
           if (!conflicting) continue;
-          RecordViolation(MonitorProperty(props::PropertyKind::kNoConflict),
-                          depth, failure_label,
+          RecordViolation(*monitor, depth, failure_label,
                           "conflicting commands on " +
                               model_.devices()[a.device].id() + ": " +
                               a.spec->name + " vs " + b.spec->name,
@@ -916,7 +1033,8 @@ class Search {
         }
       }
     }
-    if (MonitorActive(props::PropertyKind::kNoRepeat)) {
+    if (const props::Property* monitor =
+            Monitor(props::PropertyKind::kNoRepeat)) {
       bool recorded = false;
       for (std::size_t i = 0; i < log.commands.size() && !recorded; ++i) {
         for (std::size_t j = i + 1; j < log.commands.size(); ++j) {
@@ -926,8 +1044,7 @@ class Search {
               a.value_index != b.value_index) {
             continue;
           }
-          RecordViolation(MonitorProperty(props::PropertyKind::kNoRepeat),
-                          depth, failure_label,
+          RecordViolation(*monitor, depth, failure_label,
                           "repeated command on " +
                               model_.devices()[a.device].id() + ": " +
                               a.spec->name + " received twice",
@@ -942,39 +1059,39 @@ class Search {
       if (stopped_) return;
       switch (api.kind) {
         case model::ApiCallRecord::Kind::kHttp:
-          if (!model_.deployment().allow_network_interfaces &&
-              MonitorActive(props::PropertyKind::kNoNetworkLeak)) {
-            RecordViolation(
-                MonitorProperty(props::PropertyKind::kNoNetworkLeak), depth,
-                failure_label, "network interface used: " + api.detail,
-                {api.app});
+          if (!model_.deployment().allow_network_interfaces) {
+            if (const props::Property* monitor =
+                    Monitor(props::PropertyKind::kNoNetworkLeak)) {
+              RecordViolation(*monitor, depth, failure_label,
+                              "network interface used: " + api.detail,
+                              {api.app});
+            }
           }
           break;
         case model::ApiCallRecord::Kind::kSms:
-          if (api.recipient_mismatch &&
-              MonitorActive(props::PropertyKind::kSmsRecipient)) {
-            RecordViolation(
-                MonitorProperty(props::PropertyKind::kSmsRecipient), depth,
-                failure_label,
-                "SMS recipient '" + api.detail +
-                    "' does not match the configured contact",
-                {api.app});
+          if (api.recipient_mismatch) {
+            if (const props::Property* monitor =
+                    Monitor(props::PropertyKind::kSmsRecipient)) {
+              RecordViolation(*monitor, depth, failure_label,
+                              "SMS recipient '" + api.detail +
+                                  "' does not match the configured contact",
+                              {api.app});
+            }
           }
           break;
         case model::ApiCallRecord::Kind::kUnsubscribe:
-          if (MonitorActive(props::PropertyKind::kNoSensitiveCmd)) {
-            RecordViolation(
-                MonitorProperty(props::PropertyKind::kNoSensitiveCmd), depth,
-                failure_label,
-                "security-sensitive command: unsubscribe()", {api.app});
+          if (const props::Property* monitor =
+                  Monitor(props::PropertyKind::kNoSensitiveCmd)) {
+            RecordViolation(*monitor, depth, failure_label,
+                            "security-sensitive command: unsubscribe()",
+                            {api.app});
           }
           break;
         case model::ApiCallRecord::Kind::kFakeEvent:
-          if (MonitorActive(props::PropertyKind::kNoFakeEvent)) {
-            RecordViolation(
-                MonitorProperty(props::PropertyKind::kNoFakeEvent), depth,
-                failure_label, "fake event injected: " + api.detail,
-                {api.app});
+          if (const props::Property* monitor =
+                  Monitor(props::PropertyKind::kNoFakeEvent)) {
+            RecordViolation(*monitor, depth, failure_label,
+                            "fake event injected: " + api.detail, {api.app});
           }
           break;
         case model::ApiCallRecord::Kind::kPush:
@@ -984,16 +1101,17 @@ class Search {
 
     // Robustness: a command was lost to a failure and the user was never
     // notified (§8's robustness property).
+    const props::Property* robustness =
+        Monitor(props::PropertyKind::kRobustness);
     if (failure.Any() && log.failed_deliveries > 0 && !log.user_notified &&
-        MonitorActive(props::PropertyKind::kRobustness)) {
+        robustness != nullptr) {
       std::set<int> losers;
       for (const model::CommandRecord& cmd : log.commands) {
         if (!cmd.delivered) losers.insert(cmd.app);
       }
-      RecordViolation(MonitorProperty(props::PropertyKind::kRobustness),
-                      depth, failure_label,
+      RecordViolation(*robustness, depth, failure_label,
                       std::to_string(log.failed_deliveries) +
-                          " command(s) lost to " + failure.Label() +
+                          " command(s) lost to " + failure_label +
                           " with no user notification",
                       losers);
     }
@@ -1006,7 +1124,7 @@ class Search {
   void ProcessOutcome(const model::SystemState& before,
                       const model::ExternalEvent& event,
                       const model::FailureScenario& failure,
-                      model::StepOutcome& outcome, int depth,
+                      const model::StepOutcome& outcome, int depth,
                       int outcome_index) {
     ++result_.transitions;
     if (shared_ != nullptr) {
@@ -1015,8 +1133,7 @@ class Search {
 
     const std::size_t actuation_mark = path_actuations_.size();
     const std::size_t mode_mark = path_mode_setters_.size();
-    path_steps_.push_back(
-        MakeStep(before, event, failure, outcome, depth, outcome_index));
+    path_.push_back({event, failure, outcome_index, &before, &outcome});
     path_actuations_.insert(path_actuations_.end(),
                             outcome.log.actuations.begin(),
                             outcome.log.actuations.end());
@@ -1024,9 +1141,9 @@ class Search {
                               outcome.log.mode_setters.begin(),
                               outcome.log.mode_setters.end());
 
-    RunMonitors(outcome.log, depth + 1, failure);
-    CheckInvariants(outcome.state, depth + 1,
-                    failure.Any() ? failure.Label() : "");
+    const std::string failure_label = failure.Any() ? failure.Label() : "";
+    RunMonitors(outcome.log, depth + 1, failure, failure_label);
+    CheckInvariants(outcome.state, depth + 1, failure_label);
 
     if (guide_ != nullptr) {
       // Guided replay follows the recorded path unconditionally — a
@@ -1048,7 +1165,7 @@ class Search {
     }
 
     // Restore path context.
-    path_steps_.pop_back();
+    path_.pop_back();
     path_actuations_.resize(actuation_mark);
     path_mode_setters_.resize(mode_mark);
   }

@@ -1,15 +1,11 @@
 #include "checker/state_store.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/hash.hpp"
 
 namespace iotsan::checker {
-
-std::size_t ExhaustiveStore::TransparentHash::operator()(
-    std::string_view key) const {
-  return static_cast<std::size_t>(hash::Fnv1a64(key));
-}
 
 ExhaustiveStore::ExhaustiveStore(unsigned shard_count) {
   if (shard_count == 0) shard_count = 1;
@@ -19,25 +15,70 @@ ExhaustiveStore::ExhaustiveStore(unsigned shard_count) {
   }
 }
 
-bool ExhaustiveStore::TestAndInsert(std::span<const std::uint8_t> bytes) {
-  const std::string_view key(reinterpret_cast<const char*>(bytes.data()),
-                             bytes.size());
-  // Shard from the top hash bits: unordered_set buckets consume the low
-  // bits, so the two stay uncorrelated.
-  const std::uint64_t hash = hash::Fnv1a64(key);
+std::uint64_t ExhaustiveStore::Hash(std::span<const std::uint8_t> bytes) {
+  return hash::WordHash64(bytes);
+}
+
+std::uint8_t* ByteArena::Allocate(std::size_t size) {
+  if (block_used_ + size > block_size_) {
+    block_size_ = std::max(
+        block_size_ == 0 ? first_block_ : std::min(block_size_ * 2, max_block_),
+        size);
+    blocks_.push_back(std::make_unique<std::uint8_t[]>(block_size_));
+    block_used_ = 0;
+    block_bytes_ += block_size_;
+  }
+  std::uint8_t* out = blocks_.back().get() + block_used_;
+  block_used_ += size;
+  return out;
+}
+
+bool ExhaustiveStore::TestAndInsertHashed(std::span<const std::uint8_t> bytes,
+                                          std::uint64_t hash) {
+  const auto size = static_cast<std::uint32_t>(bytes.size());
+  // Shard from the top hash bits, slot from the low bits, so the two
+  // stay uncorrelated.
   Shard& shard = *shards_[(hash >> 32) % shards_.size()];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.states.find(key) != shard.states.end()) return true;
-  shard.states.emplace(key);
+  const std::size_t mask = shard.slots.size() - 1;
+  std::size_t i = hash & mask;
+  for (; shard.slots[i].bytes != nullptr; i = (i + 1) & mask) {
+    const Slot& slot = shard.slots[i];
+    if (slot.hash != hash) continue;
+    std::uint32_t stored_size;
+    std::memcpy(&stored_size, slot.bytes, sizeof(stored_size));
+    if (stored_size == size &&
+        std::equal(bytes.begin(), bytes.end(),
+                   slot.bytes + sizeof(stored_size))) {
+      return true;
+    }
+  }
+  std::uint8_t* copy = shard.arena.Allocate(sizeof(size) + bytes.size());
+  std::memcpy(copy, &size, sizeof(size));
+  std::copy(bytes.begin(), bytes.end(), copy + sizeof(size));
+  shard.slots[i] = {hash, copy};
   shard.memory += bytes.size() + sizeof(void*) * 2;
+  if (++shard.count * 2 > shard.slots.size()) Grow(shard);
   return false;
+}
+
+void ExhaustiveStore::Grow(Shard& shard) {
+  std::vector<Slot> slots(shard.slots.size() * 2);
+  const std::size_t mask = slots.size() - 1;
+  for (const Slot& slot : shard.slots) {
+    if (slot.bytes == nullptr) continue;
+    std::size_t i = slot.hash & mask;
+    while (slots[i].bytes != nullptr) i = (i + 1) & mask;
+    slots[i] = slot;
+  }
+  shard.slots = std::move(slots);
 }
 
 std::uint64_t ExhaustiveStore::size() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->states.size();
+    total += shard->count;
   }
   return total;
 }
@@ -75,22 +116,10 @@ std::uint32_t InternPool::Intern(std::span<const std::uint8_t> bytes) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     return it->second;
   }
-  // Copy the component into the shard's bump arena; addresses are stable
-  // so the map can key on a view into it.  Blocks grow geometrically from
-  // 256 B so the many small pools of a COLLAPSE codec stay cheap.
-  if (shard.block_used + bytes.size() > shard.block_size) {
-    shard.block_size = std::max<std::size_t>(
-        shard.block_size == 0 ? 256
-                              : std::min<std::size_t>(shard.block_size * 2,
-                                                      std::size_t{1} << 16),
-        bytes.size());
-    shard.blocks.push_back(std::make_unique<std::uint8_t[]>(shard.block_size));
-    shard.block_used = 0;
-    shard.memory += shard.block_size;
-  }
-  std::uint8_t* dest = shard.blocks.back().get() + shard.block_used;
+  // Copy the component into the shard's arena; addresses are stable so
+  // the map can key on a view into it.
+  std::uint8_t* dest = shard.arena.Allocate(bytes.size());
   std::copy(bytes.begin(), bytes.end(), dest);
-  shard.block_used += bytes.size();
   const std::uint32_t index =
       next_index_.fetch_add(1, std::memory_order_relaxed);
   shard.entries.emplace(
@@ -108,7 +137,7 @@ std::uint64_t InternPool::memory_bytes() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->memory;
+    total += shard->memory + shard->arena.block_bytes();
   }
   return total;
 }

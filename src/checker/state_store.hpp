@@ -23,7 +23,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/bitarray.hpp"
@@ -55,6 +54,30 @@ class StateStore {
   virtual double EstOmissionProbability() const { return 0; }
 };
 
+/// Bump allocator behind the stores' copies of state bytes: blocks grow
+/// geometrically from `first_block` to `max_block` bytes (a larger
+/// request gets a block of its own) and never move, so handed-out
+/// addresses stay valid for the arena's lifetime.  Not thread-safe.
+class ByteArena {
+ public:
+  ByteArena(std::size_t first_block, std::size_t max_block)
+      : first_block_(first_block), max_block_(max_block) {}
+
+  /// `size` bytes of fresh storage.
+  std::uint8_t* Allocate(std::size_t size);
+
+  /// Bytes of all blocks allocated so far.
+  std::uint64_t block_bytes() const { return block_bytes_; }
+
+ private:
+  std::size_t first_block_;
+  std::size_t max_block_;
+  std::vector<std::unique_ptr<std::uint8_t[]>> blocks_;
+  std::size_t block_used_ = 0;
+  std::size_t block_size_ = 0;
+  std::uint64_t block_bytes_ = 0;
+};
+
 class ExhaustiveStore final : public StateStore {
  public:
   /// `shard_count` hash-set shards, each behind its own mutex; the shard
@@ -63,23 +86,44 @@ class ExhaustiveStore final : public StateStore {
   /// classic single-set store (still thread-safe, just contended).
   explicit ExhaustiveStore(unsigned shard_count = 1);
 
-  bool TestAndInsert(std::span<const std::uint8_t> bytes) override;
+  /// The hash TestAndInsert files `bytes` under (hash::WordHash64).
+  static std::uint64_t Hash(std::span<const std::uint8_t> bytes);
+
+  bool TestAndInsert(std::span<const std::uint8_t> bytes) override {
+    return TestAndInsertHashed(bytes, Hash(bytes));
+  }
+
+  /// TestAndInsert with `hash` precomputed by the caller: it picks the
+  /// shard and the bucket and is stored with the state, so the bytes are
+  /// hashed once per probe.  Membership still compares the bytes: two
+  /// different states under one hash are both kept.
+  bool TestAndInsertHashed(std::span<const std::uint8_t> bytes,
+                           std::uint64_t hash);
+
   std::uint64_t size() const override;
+  /// The stored state bytes plus 16 bytes of index per state.
   std::uint64_t memory_bytes() const override;
 
  private:
-  // Transparent hashing lets TestAndInsert probe with a string_view over
-  // the caller's buffer; only genuinely new states pay the std::string
-  // allocation.
-  struct TransparentHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view key) const;
+  // Each shard is an open-addressing table (linear probing, at most half
+  // full) of (hash, bytes) slots over a byte arena.  A probe reads the
+  // stored hash in the slot and touches the state bytes only on a hash
+  // match; growth re-slots by the stored hashes, never re-hashing bytes.
+  struct Slot {
+    std::uint64_t hash = 0;
+    /// The state in the arena, behind a 4-byte length; null = empty.
+    const std::uint8_t* bytes = nullptr;
   };
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_set<std::string, TransparentHash, std::equal_to<>> states;
+    std::vector<Slot> slots = std::vector<Slot>(64);
+    std::uint64_t count = 0;
+    ByteArena arena{4096, std::size_t{1} << 20};
     std::uint64_t memory = 0;
   };
+
+  /// Doubles `shard`'s slot table.
+  static void Grow(Shard& shard);
 
   std::vector<std::unique_ptr<Shard>> shards_;
 };
@@ -124,11 +168,10 @@ class InternPool {
   struct Shard {
     mutable std::mutex mutex;
     std::unordered_map<std::string_view, std::uint32_t, ViewHash> entries;
-    /// Bump arenas owning the key bytes (block addresses never move).
-    std::vector<std::unique_ptr<std::uint8_t[]>> blocks;
-    std::size_t block_used = 0;
-    std::size_t block_size = 0;
-    std::uint64_t memory = 0;
+    /// Owns the key bytes.  Blocks grow from 256 B so the many small
+    /// pools of a COLLAPSE codec stay cheap.
+    ByteArena arena{256, std::size_t{1} << 16};
+    std::uint64_t memory = 0;  // per-entry index overhead
   };
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -41,6 +41,11 @@ ExprPtr CloneExpr(const Expr& e) {
   }
   out->body.reserve(e.body.size());
   for (const StmtPtr& s : e.body) out->body.push_back(CloneStmt(*s));
+  out->parts.reserve(e.parts.size());
+  for (const StringPart& part : e.parts) {
+    out->parts.push_back(
+        StringPart{part.text, part.expr ? CloneExpr(*part.expr) : nullptr});
+  }
   return out;
 }
 

@@ -53,6 +53,15 @@ struct NamedArg {
   ExprPtr value;
 };
 
+/// One piece of a GString literal: literal text, or a `${…}` fragment
+/// parsed once with the literal.  `text` is what the piece renders as
+/// when it is literal or when its fragment fails to evaluate: the
+/// fragment verbatim, `${` and `}` included.
+struct StringPart {
+  std::string text;
+  ExprPtr expr;  // null for literal text and for unparseable fragments
+};
+
 struct Expr {
   ExprKind kind;
   int line = 0;
@@ -86,6 +95,9 @@ struct Expr {
 
   // kMember with '?.'
   bool safe_navigation = false;
+
+  // kStringLit whose text contains `${`: its pieces, in order.
+  std::vector<StringPart> parts;
 
   // kClosure
   std::vector<std::string> params;          // empty => implicit `it`

@@ -9,6 +9,8 @@ namespace iotsan::dsl {
 
 namespace {
 
+std::vector<StringPart> SplitInterpolations(const std::string& text);
+
 class Parser {
  public:
   Parser(std::string_view source, std::string_view source_name)
@@ -47,6 +49,24 @@ class Parser {
   std::vector<Token> tokens_;
   std::size_t index_ = 0;
   std::string_view source_name_;
+  int depth_ = 0;  // open Nest scopes (statements and expression levels)
+
+  /// Counts one level of statement or expression nesting for its
+  /// lifetime.  The parser recurses once per level, so the cap bounds
+  /// stack use on hostile source.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxParseDepth) {
+        parser_.Fail("nesting deeper than " + std::to_string(kMaxParseDepth) +
+                     " levels");
+      }
+    }
+    ~Nest() { --parser_.depth_; }
+
+   private:
+    Parser& parser_;
+  };
 
   const Token& Peek(std::size_t ahead = 0) const {
     const std::size_t i = index_ + ahead;
@@ -304,6 +324,7 @@ class Parser {
   }
 
   StmtPtr ParseStatement() {
+    const Nest nest(*this);
     while (Match(TokenKind::kSemicolon)) {
     }
     if (Check(TokenKind::kDef)) return ParseVarDecl();
@@ -446,6 +467,7 @@ class Parser {
   }
 
   ExprPtr ParseAssignment() {
+    const Nest nest(*this);
     ExprPtr target = ParsePrecedence(1);
     AssignOp op;
     if (Check(TokenKind::kAssign)) op = AssignOp::kAssign;
@@ -469,6 +491,7 @@ class Parser {
   }
 
   ExprPtr ParseTernary() {
+    const Nest nest(*this);
     ExprPtr cond = ParseBinaryLevel(2);
     if (Match(TokenKind::kQuestion)) {
       ExprPtr e = NewExpr(ExprKind::kTernary);
@@ -550,6 +573,7 @@ class Parser {
   }
 
   ExprPtr ParseUnary() {
+    const Nest nest(*this);
     if (Check(TokenKind::kMinus) || Check(TokenKind::kNot)) {
       ExprPtr e = NewExpr(ExprKind::kUnary);
       e->unary_op =
@@ -702,6 +726,7 @@ class Parser {
       case TokenKind::kString: {
         ExprPtr e = NewExpr(ExprKind::kStringLit);
         e->text = Current().text;
+        e->parts = SplitInterpolations(e->text);
         Advance();
         return e;
       }
@@ -768,6 +793,36 @@ class Parser {
     return e;
   }
 };
+
+/// Splits a GString into literal pieces and `${…}` fragments, each
+/// fragment running to the first `}` after it.  An unterminated `${`
+/// stays literal, as does a fragment that does not parse.  Empty when
+/// `text` has no `${`.
+std::vector<StringPart> SplitInterpolations(const std::string& text) {
+  std::vector<StringPart> parts;
+  if (text.find("${") == std::string::npos) return parts;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t start = text.find("${", pos);
+    const std::size_t end =
+        start == std::string::npos ? start : text.find('}', start);
+    if (end == std::string::npos) {
+      parts.push_back({text.substr(pos), nullptr});
+      break;
+    }
+    if (start > pos) parts.push_back({text.substr(pos, start - pos), nullptr});
+    StringPart fragment{text.substr(start, end + 1 - start), nullptr};
+    try {
+      fragment.expr = ParseExpression(
+          std::string_view(text).substr(start + 2, end - start - 2));
+    } catch (const Error&) {
+      // Kept verbatim, as literal text.
+    }
+    parts.push_back(std::move(fragment));
+    pos = end + 1;
+  }
+  return parts;
+}
 
 }  // namespace
 

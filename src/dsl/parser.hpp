@@ -7,6 +7,11 @@
 
 namespace iotsan::dsl {
 
+/// Nesting limit of both entry points, counted in statement and
+/// expression levels: each parenthesized sub-expression costs three, a
+/// nested statement one.  Deeper input is a ParseError.
+inline constexpr int kMaxParseDepth = 512;
+
 /// Parses a complete SmartScript application: a `definition(...)` header,
 /// an optional `preferences { ... }` block, and `def` methods.  Throws
 /// iotsan::ParseError (syntax) or iotsan::SemanticError (structural

@@ -118,6 +118,11 @@ struct AnalyzedApp {
   /// (§10.1: Midnight Camera etc. cannot be handled).
   bool dynamic_device_discovery = false;
 
+  /// True if some method assigns into a map or list (`evt.x = …`,
+  /// `m[k] = …`).  Such an app may change the event object it receives,
+  /// so it gets a fresh one per dispatch instead of a shared one.
+  bool writes_containers = false;
+
   /// Analysis problems (unknown handlers, type problems, ...).
   std::vector<std::string> problems;
 

@@ -62,6 +62,46 @@ const devices::CommandSpec* LookupCommand(const std::string& name,
   return nullptr;
 }
 
+bool WritesContainer(const std::vector<StmtPtr>& body);
+
+/// True if `expr` or anything nested in it (closures and GString
+/// fragments included) assigns to a map field or list/map element —
+/// anything but `state.x = …` and `location.mode = …`.
+bool WritesContainer(const Expr& expr) {
+  if (expr.kind == ExprKind::kAssign) {
+    const Expr& target = *expr.a;
+    if (target.kind == ExprKind::kIndex) return true;
+    if (target.kind == ExprKind::kMember &&
+        !(target.a->kind == ExprKind::kIdent &&
+          (target.a->text == "state" || target.a->text == "location"))) {
+      return true;
+    }
+  }
+  for (const Expr* child : {expr.a.get(), expr.b.get(), expr.c.get()}) {
+    if (child != nullptr && WritesContainer(*child)) return true;
+  }
+  for (const ExprPtr& item : expr.items) {
+    if (WritesContainer(*item)) return true;
+  }
+  for (const dsl::NamedArg& arg : expr.named) {
+    if (WritesContainer(*arg.value)) return true;
+  }
+  for (const dsl::StringPart& part : expr.parts) {
+    if (part.expr != nullptr && WritesContainer(*part.expr)) return true;
+  }
+  return WritesContainer(expr.body);
+}
+
+bool WritesContainer(const std::vector<StmtPtr>& body) {
+  for (const StmtPtr& stmt : body) {
+    if ((stmt->expr != nullptr && WritesContainer(*stmt->expr)) ||
+        WritesContainer(stmt->body) || WritesContainer(stmt->else_body)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 class Analyzer {
  public:
   explicit Analyzer(dsl::App app) {
@@ -84,6 +124,8 @@ class Analyzer {
     }
     for (const dsl::MethodDecl& method : result_.app.methods) {
       AnalyzeMethod(method);
+      result_.writes_containers =
+          result_.writes_containers || WritesContainer(method.body);
     }
     BuildHandlers();
     if (result_.dynamic_device_discovery) {

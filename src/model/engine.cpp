@@ -24,6 +24,16 @@ std::string ExternalEvent::Describe(const SystemModel& model) const {
   return "?";
 }
 
+CascadeEngine::CascadeEngine(const SystemModel& model,
+                             const FootprintIndex* footprints, bool notes)
+    : model_(model), footprints_(footprints), notes_(notes) {
+  for (const InstalledApp& app : model_.apps()) {
+    for (const ir::ScheduleInfo& schedule : app.analysis.schedules) {
+      recurring_schedules_ = recurring_schedules_ || schedule.recurring;
+    }
+  }
+}
+
 std::vector<ExternalEvent> CascadeEngine::EnabledEvents(
     const SystemState& state) const {
   std::vector<ExternalEvent> events;
@@ -56,13 +66,7 @@ std::vector<ExternalEvent> CascadeEngine::EnabledEvents(
       case ExternalEventSpec::Kind::kTimerTick: {
         // A tick is enabled when a one-shot timer is pending or any app
         // has a recurring schedule.
-        bool enabled = !state.timers.empty();
-        for (const InstalledApp& app : model_.apps()) {
-          for (const ir::ScheduleInfo& schedule : app.analysis.schedules) {
-            enabled = enabled || schedule.recurring;
-          }
-        }
-        if (enabled) {
+        if (recurring_schedules_ || !state.timers.empty()) {
           ExternalEvent event;
           event.kind = spec.kind;
           events.push_back(event);
@@ -106,9 +110,11 @@ void CascadeEngine::InjectExternal(SystemState& state,
         // The physical event happened but the sensor cannot report it:
         // no cyber event is generated, and the cyber reading goes stale
         // (paper §8 failure model, Fig. 8b).
-        log.trace.push_back("-- sensor " + device.id() +
-                            " offline: physical event " + attr.name + "/" +
-                            attr.ValueName(event.value) + " missed");
+        if (notes_) {
+          log.trace.push_back("-- sensor " + device.id() +
+                              " offline: physical event " + attr.name + "/" +
+                              attr.ValueName(event.value) + " missed");
+        }
         return;
       }
       // sensor_state_update (Algorithm 1, lines 8-12).
@@ -120,9 +126,11 @@ void CascadeEngine::InjectExternal(SystemState& state,
       cyber.attribute = event.attribute;
       cyber.value = event.value;
       queue.push_back(cyber);
-      log.trace.push_back("generatedEvent.evtType = " +
-                          attr.ValueName(event.value) + " (" + device.id() +
-                          "/" + attr.name + ")");
+      if (notes_) {
+        log.trace.push_back("generatedEvent.evtType = " +
+                            attr.ValueName(event.value) + " (" + device.id() +
+                            "/" + attr.name + ")");
+      }
       break;
     }
     case ExternalEventSpec::Kind::kAppTouch: {
@@ -130,8 +138,10 @@ void CascadeEngine::InjectExternal(SystemState& state,
       cyber.source = devices::EventSource::kAppTouch;
       cyber.app = event.app;
       queue.push_back(cyber);
-      log.trace.push_back("app touch: " +
-                          model_.apps()[event.app].config.label);
+      if (notes_) {
+        log.trace.push_back("app touch: " +
+                            model_.apps()[event.app].config.label);
+      }
       break;
     }
     case ExternalEventSpec::Kind::kTimerTick: {
@@ -160,7 +170,7 @@ void CascadeEngine::InjectExternal(SystemState& state,
           }
         }
       }
-      log.trace.push_back("timer tick");
+      if (notes_) log.trace.push_back("timer tick");
       break;
     }
     case ExternalEventSpec::Kind::kUserModeChange: {
@@ -170,8 +180,10 @@ void CascadeEngine::InjectExternal(SystemState& state,
       cyber.source = devices::EventSource::kLocationMode;
       cyber.value = event.value;
       queue.push_back(cyber);
-      log.trace.push_back("user sets location.mode = " +
-                          model_.modes()[event.value]);
+      if (notes_) {
+        log.trace.push_back("user sets location.mode = " +
+                            model_.modes()[event.value]);
+      }
       break;
     }
   }
@@ -183,30 +195,35 @@ void CascadeEngine::DispatchOne(SystemState& state,
                                 CascadeLog& log,
                                 const FailureScenario& failure) const {
   if (auto* t = telemetry::Active()) ++t->search.handler_dispatches;
-  Evaluator evaluator(model_, state, queue, log, failure);
+  Evaluator evaluator(model_, state, queue, log, failure, notes_,
+                      &event_values_);
   if (event.source == devices::EventSource::kTimer) {
     const InstalledApp& app = model_.apps()[event.app];
     const ir::ScheduleInfo& schedule = app.analysis.schedules[event.timer];
-    log.trace.push_back("dispatch timer -> " + app.config.label + "." +
-                        schedule.handler);
-    log.dispatches.push_back({event.app, schedule.handler});
+    if (notes_) {
+      log.trace.push_back("dispatch timer -> " + app.config.label + "." +
+                          schedule.handler);
+      log.dispatches.push_back({event.app, schedule.handler});
+    }
     evaluator.InvokeHandler(event.app, schedule.handler, &event);
     return;
   }
   for (const ResolvedSubscription* sub : model_.Subscribers(event)) {
-    std::string description;
-    if (event.source == devices::EventSource::kDevice) {
-      description =
-          devices::DescribeDeviceEvent(model_.devices()[event.device], event);
-    } else if (event.source == devices::EventSource::kLocationMode) {
-      description = "location/" + model_.modes()[event.value];
-    } else {
-      description = "app/touch";
+    if (notes_) {
+      std::string description;
+      if (event.source == devices::EventSource::kDevice) {
+        description = devices::DescribeDeviceEvent(
+            model_.devices()[event.device], event);
+      } else if (event.source == devices::EventSource::kLocationMode) {
+        description = "location/" + model_.modes()[event.value];
+      } else {
+        description = "app/touch";
+      }
+      log.trace.push_back("dispatch " + description + " -> " +
+                          model_.apps()[sub->app].config.label + "." +
+                          sub->handler);
+      log.dispatches.push_back({sub->app, sub->handler});
     }
-    log.trace.push_back("dispatch " + description + " -> " +
-                        model_.apps()[sub->app].config.label + "." +
-                        sub->handler);
-    log.dispatches.push_back({sub->app, sub->handler});
     evaluator.InvokeHandler(sub->app, sub->handler, &event);
   }
 }

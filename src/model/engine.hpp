@@ -57,9 +57,18 @@ class CascadeEngine {
   /// commutes with all other pending dispatches (and their trigger
   /// cones) is expanded alone instead of fanning out the full
   /// interleaving set.  Sequential scheduling ignores it.
+  ///
+  /// `notes` turns on the counter-example forensics of each CascadeLog:
+  /// the Fig. 7 `trace` lines and the `dispatches` list.  Verdicts never
+  /// need them, so they are off by default; the checker re-applies the
+  /// few steps it reports with notes on, and Apply is deterministic, so
+  /// both runs agree on everything else.
+  ///
+  /// The engine memoizes the event objects handlers receive, so one
+  /// engine must not run Apply on two threads at once.
   explicit CascadeEngine(const SystemModel& model,
-                         const FootprintIndex* footprints = nullptr)
-      : model_(model), footprints_(footprints) {}
+                         const FootprintIndex* footprints = nullptr,
+                         bool notes = false);
 
   /// Applies `event` under `failure` starting from `from`.  Sequential
   /// scheduling returns exactly one outcome; concurrent scheduling one
@@ -87,6 +96,10 @@ class CascadeEngine {
  private:
   const SystemModel& model_;
   const FootprintIndex* footprints_ = nullptr;
+  bool notes_ = false;
+  /// Some app has a recurring schedule: the timer tick is always enabled.
+  bool recurring_schedules_ = false;
+  mutable EventValueCache event_values_;
 
   void InjectExternal(SystemState& state, const ExternalEvent& event,
                       const FailureScenario& failure,

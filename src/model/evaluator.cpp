@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "dsl/parser.hpp"
 #include "dsl/printer.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -29,14 +28,18 @@ class Interp {
  public:
   Interp(const SystemModel& model, SystemState& state,
          std::deque<devices::Event>& queue, CascadeLog& log,
-         const FailureScenario& failure, int app_index)
+         const FailureScenario& failure, int app_index, bool notes,
+         EventValueCache* event_values)
       : model_(model),
         state_(state),
         queue_(queue),
         log_(log),
         failure_(failure),
         app_index_(app_index),
-        app_(model.apps()[app_index]) {}
+        app_(model.apps()[app_index]),
+        notes_(notes),
+        event_values_(app_.analysis.writes_containers ? nullptr
+                                                      : event_values) {}
 
   void Invoke(const std::string& method_name, const devices::Event* event) {
     const dsl::MethodDecl* method = app_.analysis.app.FindMethod(method_name);
@@ -46,8 +49,13 @@ class Interp {
     }
     ValueList args;
     if (!method->params.empty()) {
-      args.push_back(event != nullptr ? MakeEventValue(*event)
-                                      : Value::Null());
+      if (event == nullptr) {
+        args.push_back(Value::Null());
+      } else if (event_values_ != nullptr) {
+        args.push_back(event_values_->Get(model_, *event));
+      } else {
+        args.push_back(MakeEventValue(model_, *event));
+      }
     }
     CallMethod(*method, args);
   }
@@ -60,9 +68,11 @@ class Interp {
   const FailureScenario& failure_;
   int app_index_;
   const InstalledApp& app_;
+  const bool notes_;  // record Fig. 7 trace lines
+  // Shared event objects; null when this app may write into them.
+  EventValueCache* const event_values_;
   std::vector<std::map<std::string, Value>> scopes_;
   int steps_ = 0;
-  const dsl::MethodDecl* current_method_ = nullptr;
 
   void Budget() {
     if (++steps_ > Evaluator::kStepBudget) {
@@ -76,62 +86,21 @@ class Interp {
                         std::to_string(line) + ": " + message);
   }
 
+  /// Records a Fig. 7 note when notes are on.  Call sites that format
+  /// `code` check notes_ first, so nothing is built when they are off.
   void Trace(int line, const std::string& code) {
+    if (!notes_) return;
     log_.trace.push_back(app_.analysis.app.source_name + ":" +
                          std::to_string(line) + "\t[" + code + "]");
-  }
-
-  // ---- Event objects ------------------------------------------------------
-
-  Value MakeEventValue(const devices::Event& event) {
-    ValueMap fields;
-    switch (event.source) {
-      case devices::EventSource::kDevice: {
-        const devices::Device& device = model_.devices()[event.device];
-        const devices::AttributeSpec& attr =
-            *device.attributes()[event.attribute];
-        fields["name"] = Value::String(attr.name);
-        fields["value"] = Value::String(attr.ValueName(event.value));
-        if (attr.kind == devices::AttributeKind::kNumeric) {
-          fields["numericValue"] =
-              Value::Number(attr.NumericAt(event.value));
-          fields["doubleValue"] = fields["numericValue"];
-          fields["integerValue"] = fields["numericValue"];
-        }
-        fields["device"] = Value::Device(event.device);
-        fields["deviceId"] = Value::String(device.id());
-        fields["displayName"] = Value::String(device.id());
-        break;
-      }
-      case devices::EventSource::kLocationMode:
-        fields["name"] = Value::String("mode");
-        fields["value"] = Value::String(model_.modes()[event.value]);
-        break;
-      case devices::EventSource::kAppTouch:
-        fields["name"] = Value::String("touch");
-        fields["value"] = Value::String("touched");
-        break;
-      case devices::EventSource::kTimer:
-        fields["name"] = Value::String("timer");
-        fields["value"] = Value::String("fired");
-        break;
-    }
-    fields["isStateChange"] = Value::Bool(true);
-    fields["descriptionText"] =
-        Value::String(fields["name"].ToDisplayString() + " is " +
-                      fields["value"].ToDisplayString());
-    return Value::Map(std::move(fields));
   }
 
   // ---- Environment ---------------------------------------------------------
 
   Value CallMethod(const dsl::MethodDecl& method, const ValueList& args) {
-    const dsl::MethodDecl* saved_method = current_method_;
     const std::size_t saved_depth = scopes_.size();
     if (saved_depth > 64) {
       throw Error("app '" + app_.config.label + "': call depth exceeded");
     }
-    current_method_ = &method;
     scopes_.emplace_back();
     for (std::size_t i = 0; i < method.params.size(); ++i) {
       scopes_.back()[method.params[i]] =
@@ -144,7 +113,6 @@ class Interp {
       result = ret.value;
     }
     scopes_.resize(saved_depth);
-    current_method_ = saved_method;
     return result;
   }
 
@@ -154,6 +122,20 @@ class Interp {
       if (found != it->end()) return &found->second;
     }
     return nullptr;
+  }
+
+  /// The app's persistent `state` map when `expr` is the bare `state`
+  /// identifier (not shadowed by a local or an input), so reads look a
+  /// key up in place instead of copying the map into a Value.  Ticks the
+  /// budget step the skipped receiver evaluation would have taken.
+  const ValueMap* AppStateOf(const Expr& expr) {
+    if (expr.kind != ExprKind::kIdent || expr.text != "state" ||
+        FindVariable(expr.text) != nullptr ||
+        app_.bindings.count(expr.text) > 0) {
+      return nullptr;
+    }
+    Budget();
+    return &state_.app_state[app_index_];
   }
 
   // ---- Statements -----------------------------------------------------------
@@ -239,7 +221,7 @@ class Interp {
       case ExprKind::kNumberLit:
         return Value::Number(expr.number_value);
       case ExprKind::kStringLit:
-        return Value::String(Interpolate(expr.text));
+        return Value::String(Interpolate(expr));
       case ExprKind::kListLit: {
         ValueList items;
         items.reserve(expr.items.size());
@@ -279,6 +261,11 @@ class Interp {
       case ExprKind::kMember:
         return EvalMember(expr);
       case ExprKind::kIndex: {
+        if (const ValueMap* app_state = AppStateOf(*expr.a)) {
+          const std::string key = Eval(*expr.b).ToDisplayString();
+          auto it = app_state->find(key);
+          return it != app_state->end() ? it->second : Value::Null();
+        }
         Value recv = Eval(*expr.a);
         Value index = Eval(*expr.b);
         if (recv.is_list()) {
@@ -302,32 +289,22 @@ class Interp {
     return Value::Null();
   }
 
-  /// GString interpolation: replaces ${name} / ${simple.expr} with the
-  /// evaluated value.
-  std::string Interpolate(const std::string& text) {
-    if (text.find("${") == std::string::npos) return text;
+  /// GString interpolation: replaces each `${…}` fragment (parsed with
+  /// the literal) by its value; one that fails to evaluate stays
+  /// verbatim.
+  std::string Interpolate(const Expr& literal) {
+    if (literal.parts.empty()) return literal.text;
     std::string out;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-      std::size_t start = text.find("${", pos);
-      if (start == std::string::npos) {
-        out += text.substr(pos);
-        break;
+    for (const dsl::StringPart& part : literal.parts) {
+      if (part.expr == nullptr) {
+        out += part.text;
+        continue;
       }
-      out += text.substr(pos, start - pos);
-      std::size_t end = text.find('}', start);
-      if (end == std::string::npos) {
-        out += text.substr(start);
-        break;
-      }
-      const std::string inner = text.substr(start + 2, end - start - 2);
       try {
-        dsl::ExprPtr parsed = dsl::ParseExpression(inner);
-        out += Eval(*parsed).ToDisplayString();
+        out += Eval(*part.expr).ToDisplayString();
       } catch (const Error&) {
-        out += "${" + inner + "}";  // leave unparseable fragments verbatim
+        out += part.text;
       }
-      pos = end + 1;
     }
     return out;
   }
@@ -634,6 +611,11 @@ class Interp {
       return EvalMathCall(expr);
     }
 
+    if (expr.text == "get" || expr.text == "containsKey") {
+      if (const ValueMap* app_state = AppStateOf(*expr.a)) {
+        return MapCall(*app_state, expr);
+      }
+    }
     Value recv = Eval(*expr.a);
     if (recv.is_null()) {
       if (expr.safe_navigation) return Value::Null();
@@ -763,7 +745,7 @@ class Interp {
       if (!expr.items.empty()) detail = Eval(*expr.items[0]).ToDisplayString();
       log_.api_calls.push_back({ApiCallRecord::Kind::kHttp, app_index_,
                                 detail, false, expr.line});
-      Trace(expr.line, name + "(...)");
+      if (notes_) Trace(expr.line, name + "(...)");
       return Value::Null();
     }
     if (name == "getAllDevices" || name == "getChildDevices" ||
@@ -826,7 +808,7 @@ class Interp {
         if (pending == entry) return;  // SmartThings replaces pending timers
       }
       state_.timers.push_back(entry);
-      Trace(line, "runIn -> " + handler);
+      if (notes_) Trace(line, "runIn -> " + handler);
       return;
     }
   }
@@ -843,7 +825,7 @@ class Interp {
     event.source = devices::EventSource::kLocationMode;
     event.value = index;
     queue_.push_back(event);
-    Trace(line, "location.mode = " + mode);
+    if (notes_) Trace(line, "location.mode = " + mode);
   }
 
   void EmitFakeEvent(const Expr& expr) {
@@ -857,8 +839,10 @@ class Interp {
     log_.api_calls.push_back({ApiCallRecord::Kind::kFakeEvent, app_index_,
                               attr_name + "/" + value_name, false,
                               expr.line});
-    Trace(expr.line, "sendEvent(name: " + attr_name + ", value: " +
-                          value_name + ")");
+    if (notes_) {
+      Trace(expr.line, "sendEvent(name: " + attr_name + ", value: " +
+                           value_name + ")");
+    }
     if (attr_name.empty()) return;
     // The forged event is delivered to every subscriber of a matching
     // (device, attribute, value) — the spoofing vector of §3: apps
@@ -911,19 +895,21 @@ class Interp {
       }
     }
     if (recv.is_map()) {
-      if (name == "get") {
-        Value key = expr.items.empty() ? Value::Null() : Eval(*expr.items[0]);
-        auto it = recv.AsMap().find(key.ToDisplayString());
-        return it != recv.AsMap().end() ? it->second : Value::Null();
-      }
-      if (name == "containsKey") {
-        Value key = expr.items.empty() ? Value::Null() : Eval(*expr.items[0]);
-        return Value::Bool(recv.AsMap().count(key.ToDisplayString()) > 0);
+      if (name == "get" || name == "containsKey") {
+        return MapCall(recv.AsMap(), expr);
       }
       if (name == "toString") return Value::String(recv.ToDisplayString());
     }
     Fail(expr.line, "unsupported method '" + name + "' on " +
                         recv.ToDisplayString());
+  }
+
+  /// map.get(key) / map.containsKey(key).
+  Value MapCall(const ValueMap& map, const Expr& expr) {
+    Value key = expr.items.empty() ? Value::Null() : Eval(*expr.items[0]);
+    auto it = map.find(key.ToDisplayString());
+    if (expr.text == "containsKey") return Value::Bool(it != map.end());
+    return it != map.end() ? it->second : Value::Null();
   }
 
   Value DeviceCall(int device_index, const Expr& expr) {
@@ -985,13 +971,14 @@ class Interp {
 
     CommandRecord record;
     record.app = app_index_;
-    record.handler = current_method_ ? current_method_->name : "";
     record.device = device_index;
     record.spec = &spec;
     record.value_index = target;
     record.line = line;
 
-    Trace(line, "ST_Command.evtType = " + spec.name + " -> " + device.id());
+    if (notes_) {
+      Trace(line, "ST_Command.evtType = " + spec.name + " -> " + device.id());
+    }
     log_.actuations.emplace_back(app_index_, device_index);
 
     const bool delivered = !failure_.actuator_offline && !failure_.comm_fail;
@@ -1013,8 +1000,10 @@ class Interp {
       event.attribute = attr_index;
       event.value = target;
       queue_.push_back(event);
-      Trace(line, device.id() + ".current" + attr.name + " = " +
-                      attr.ValueName(target));
+      if (notes_) {
+        Trace(line, device.id() + ".current" + attr.name + " = " +
+                        attr.ValueName(target));
+      }
     }
     log_.commands.push_back(record);
   }
@@ -1211,18 +1200,81 @@ class Interp {
 
 }  // namespace
 
+Value MakeEventValue(const SystemModel& model, const devices::Event& event) {
+  ValueMap fields;
+  switch (event.source) {
+    case devices::EventSource::kDevice: {
+      const devices::Device& device = model.devices()[event.device];
+      const devices::AttributeSpec& attr =
+          *device.attributes()[event.attribute];
+      fields["name"] = Value::String(attr.name);
+      fields["value"] = Value::String(attr.ValueName(event.value));
+      if (attr.kind == devices::AttributeKind::kNumeric) {
+        fields["numericValue"] = Value::Number(attr.NumericAt(event.value));
+        fields["doubleValue"] = fields["numericValue"];
+        fields["integerValue"] = fields["numericValue"];
+      }
+      fields["device"] = Value::Device(event.device);
+      fields["deviceId"] = Value::String(device.id());
+      fields["displayName"] = Value::String(device.id());
+      break;
+    }
+    case devices::EventSource::kLocationMode:
+      fields["name"] = Value::String("mode");
+      fields["value"] = Value::String(model.modes()[event.value]);
+      break;
+    case devices::EventSource::kAppTouch:
+      fields["name"] = Value::String("touch");
+      fields["value"] = Value::String("touched");
+      break;
+    case devices::EventSource::kTimer:
+      fields["name"] = Value::String("timer");
+      fields["value"] = Value::String("fired");
+      break;
+  }
+  fields["isStateChange"] = Value::Bool(true);
+  fields["descriptionText"] =
+      Value::String(fields["name"].ToDisplayString() + " is " +
+                    fields["value"].ToDisplayString());
+  return Value::Map(std::move(fields));
+}
+
+const Value& EventValueCache::Get(const SystemModel& model,
+                                  const devices::Event& event) {
+  // The object depends on the device coordinates only for device events
+  // and on the value only for device and mode events.
+  std::uint64_t key = static_cast<std::uint64_t>(event.source) << 56;
+  if (event.source == devices::EventSource::kDevice) {
+    key |= static_cast<std::uint64_t>(event.device + 1) << 32 |
+           static_cast<std::uint64_t>(event.attribute + 1) << 16;
+  }
+  if (event.source == devices::EventSource::kDevice ||
+      event.source == devices::EventSource::kLocationMode) {
+    key |= static_cast<std::uint16_t>(event.value);
+  }
+  auto it = values_.find(key);
+  if (it == values_.end()) {
+    it = values_.emplace(key, MakeEventValue(model, event)).first;
+  }
+  return it->second;
+}
+
 Evaluator::Evaluator(const SystemModel& model, SystemState& state,
                      std::deque<devices::Event>& queue, CascadeLog& log,
-                     const FailureScenario& failure)
+                     const FailureScenario& failure, bool notes,
+                     EventValueCache* event_values)
     : model_(model),
       state_(state),
       queue_(queue),
       log_(log),
-      failure_(failure) {}
+      failure_(failure),
+      notes_(notes),
+      event_values_(event_values) {}
 
 void Evaluator::InvokeHandler(int app, const std::string& method,
                               const devices::Event* event) {
-  Interp interp(model_, state_, queue_, log_, failure_, app);
+  Interp interp(model_, state_, queue_, log_, failure_, app, notes_,
+                event_values_);
   interp.Invoke(method, event);
 }
 

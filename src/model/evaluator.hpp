@@ -7,8 +7,10 @@
 // commands, mode changes, timers, messages, and new cyber events.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <string>
+#include <unordered_map>
 
 #include "devices/event.hpp"
 #include "model/runtime.hpp"
@@ -17,15 +19,33 @@
 
 namespace iotsan::model {
 
+/// The event objects handlers receive, built once per distinct (source,
+/// device, attribute, value) on first dispatch and shared after that.
+/// Handed only to apps that never write into a map (ir::AnalyzedApp::
+/// writes_containers), so no handler can change a shared object.  Not
+/// thread-safe.
+class EventValueCache {
+ public:
+  const Value& Get(const SystemModel& model, const devices::Event& event);
+
+ private:
+  std::unordered_map<std::uint64_t, Value> values_;
+};
+
+/// The `evt` object a handler receives for `event`.
+Value MakeEventValue(const SystemModel& model, const devices::Event& event);
+
 class Evaluator {
  public:
   /// `queue` receives the cyber events the handler generates (actuator
   /// state updates, mode changes, synthetic events); `log` accumulates
-  /// commands/API calls/trace lines; `failure` is the cascade's failure
-  /// scenario.
+  /// commands/API calls and, when `notes` is set, trace lines;
+  /// `failure` is the cascade's failure scenario.  `event_values`, when
+  /// non-null, supplies shared event objects.
   Evaluator(const SystemModel& model, SystemState& state,
             std::deque<devices::Event>& queue, CascadeLog& log,
-            const FailureScenario& failure);
+            const FailureScenario& failure, bool notes,
+            EventValueCache* event_values);
 
   /// Invokes `method` of app `app`, passing `event` (may be null for
   /// timer fires) as the handler's parameter.  Throws iotsan::Error on
@@ -44,6 +64,8 @@ class Evaluator {
   std::deque<devices::Event>& queue_;
   CascadeLog& log_;
   const FailureScenario& failure_;
+  bool notes_;
+  EventValueCache* event_values_;
 };
 
 }  // namespace iotsan::model

@@ -30,7 +30,6 @@ struct FailureScenario {
 /// repeated-command monitors (§8) run over this list.
 struct CommandRecord {
   int app = 0;
-  std::string handler;
   int device = -1;
   const devices::CommandSpec* spec = nullptr;
   int value_index = -1;    // resolved target value
@@ -52,7 +51,8 @@ struct ApiCallRecord {
 
 /// One app event-handler invocation during a cascade, in dispatch order.
 /// The structured counter-example traces (checker/trace.hpp) report these
-/// as the "firing handler" sequence of each step.
+/// as the "firing handler" sequence of each step.  Recorded only when the
+/// engine keeps notes.
 struct HandlerDispatch {
   int app = 0;
   std::string handler;
@@ -63,7 +63,8 @@ struct CascadeLog {
   std::vector<CommandRecord> commands;
   std::vector<ApiCallRecord> api_calls;
   std::vector<HandlerDispatch> dispatches;
-  /// Counter-example trace lines in the paper's Fig. 7 style.
+  /// Counter-example trace lines in the paper's Fig. 7 style (only when
+  /// the engine keeps notes).
   std::vector<std::string> trace;
   /// (app, device) pairs for every actuation attempt this cascade; used
   /// by the Output Analyzer to charge violations to the apps that drove

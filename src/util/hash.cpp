@@ -28,6 +28,33 @@ std::uint64_t Fnv1a64(std::string_view s) {
   return h;
 }
 
+std::uint64_t WordHash64(std::span<const std::uint8_t> bytes) {
+  // xxHash64's primes and per-word round; the tail is zero-padded into
+  // one last word, which the length mixed in up front disambiguates.
+  constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+  constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+  constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ULL;
+  constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ULL;
+  auto rotl = [](std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); };
+  auto round = [&](std::uint64_t h, std::uint64_t word) {
+    h ^= rotl(word * kPrime2, 31) * kPrime1;
+    return rotl(h, 27) * kPrime1 + kPrime4;
+  };
+  std::uint64_t h = kPrime5 + bytes.size();
+  std::size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes.data() + i, 8);
+    h = round(h, word);
+  }
+  if (i < bytes.size()) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes.data() + i, bytes.size() - i);
+    h = round(h, word);
+  }
+  return SplitMix64(h);
+}
+
 std::uint64_t SplitMix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

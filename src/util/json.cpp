@@ -248,6 +248,7 @@ class Parser {
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around the cursor
 
   [[noreturn]] void Fail(const std::string& message) {
     std::size_t line = 1, col = 1;
@@ -387,7 +388,24 @@ class Parser {
     return out;
   }
 
+  /// Counts one level of array/object nesting for its lifetime, failing
+  /// past kMaxDepth so hostile input cannot exhaust the stack.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxDepth) {
+        parser_.Fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                     " levels");
+      }
+    }
+    ~Nest() { --parser_.depth_; }
+
+   private:
+    Parser& parser_;
+  };
+
   Value ParseArray() {
+    const Nest nest(*this);
     Expect('[');
     Array items;
     SkipWhitespace();
@@ -407,6 +425,7 @@ class Parser {
   }
 
   Value ParseObject() {
+    const Nest nest(*this);
     Expect('{');
     Object members;
     SkipWhitespace();

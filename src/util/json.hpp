@@ -93,8 +93,13 @@ class Value {
   void DumpTo(std::string& out, int indent, int depth) const;
 };
 
+/// Deepest array/object nesting Parse accepts.  Parsing recurses once
+/// per level, so the cap bounds stack use on hostile input.
+inline constexpr int kMaxDepth = 256;
+
 /// Parses `text` into a Value.  Throws iotsan::ParseError with
-/// line/column context on malformed input.
+/// line/column context on malformed input, including nesting deeper
+/// than kMaxDepth.
 Value Parse(std::string_view text);
 
 }  // namespace iotsan::json

@@ -28,6 +28,31 @@ TEST(ExhaustiveStoreTest, ExactMembership) {
   EXPECT_GT(store.memory_bytes(), 0u);
 }
 
+TEST(ExhaustiveStoreTest, CollidingHashesKeepBothStates) {
+  // Two different states forced under one precomputed hash: the hash
+  // only picks shard and bucket, membership compares the bytes.
+  ExhaustiveStore store(4);
+  const std::uint64_t hash = 0x1234567890abcdefULL;
+  EXPECT_FALSE(store.TestAndInsertHashed(Bytes({1, 2, 3}), hash));
+  EXPECT_FALSE(store.TestAndInsertHashed(Bytes({3, 2, 1}), hash));
+  EXPECT_TRUE(store.TestAndInsertHashed(Bytes({1, 2, 3}), hash));
+  EXPECT_TRUE(store.TestAndInsertHashed(Bytes({3, 2, 1}), hash));
+  EXPECT_EQ(store.size(), 2u);
+  // TestAndInsert files a state under ExhaustiveStore::Hash.
+  EXPECT_FALSE(store.TestAndInsertHashed(Bytes({7}),
+                                         ExhaustiveStore::Hash(Bytes({7}))));
+  EXPECT_TRUE(store.TestAndInsert(Bytes({7})));
+}
+
+TEST(ExhaustiveStoreTest, HashSeparatesZeroPaddedTails) {
+  // The word hash zero-pads the tail; the length keeps these apart.
+  EXPECT_NE(ExhaustiveStore::Hash(Bytes({})), ExhaustiveStore::Hash(Bytes({0})));
+  EXPECT_NE(ExhaustiveStore::Hash(Bytes({1})),
+            ExhaustiveStore::Hash(Bytes({1, 0})));
+  EXPECT_NE(ExhaustiveStore::Hash(Bytes({1, 2, 3, 4, 5, 6, 7, 8})),
+            ExhaustiveStore::Hash(Bytes({1, 2, 3, 4, 5, 6, 7, 8, 0})));
+}
+
 TEST(BitstateStoreTest, BasicMembership) {
   BitstateStore store(1 << 16);
   EXPECT_FALSE(store.TestAndInsert(Bytes({1, 2, 3})));

@@ -68,7 +68,8 @@ def installed() {
     event.device = model_->DeviceIndex("motion1");
     event.attribute = 0;
     event.value = 1;  // active
-    Evaluator evaluator(*model_, state_, queue_, log_, failure_);
+    Evaluator evaluator(*model_, state_, queue_, log_, failure_,
+                        /*notes=*/true, &event_values_);
     evaluator.InvokeHandler(0, handler, &event);
   }
 
@@ -91,6 +92,7 @@ def installed() {
   std::deque<devices::Event> queue_;
   CascadeLog log_;
   FailureScenario failure_;
+  EventValueCache event_values_;
 };
 
 TEST(EvaluatorTest, DeviceCommandUpdatesStateAndQueues) {
@@ -385,6 +387,52 @@ def handler(evt) {
   h.Run();
   EXPECT_TRUE(h.state().app_state[0].at("v").is_null());
   EXPECT_DOUBLE_EQ(h.state().app_state[0].at("ok").AsNumber(), 1);
+}
+
+TEST(EvaluatorTest, AppWritingIntoEventGetsAFreshObjectPerDispatch) {
+  // Event objects are shared between dispatches only with apps that
+  // never write into a map; this one does, so its mark never leaks into
+  // the next dispatch.
+  Harness h(R"(
+def handler(evt) {
+    if (evt.marked) { state.reused = true }
+    evt.marked = true
+}
+)");
+  h.Run();
+  h.Run();
+  EXPECT_EQ(h.state().app_state[0].count("reused"), 0u);
+}
+
+TEST(EvaluatorTest, StateMapReadsInPlace) {
+  Harness h(R"(
+def handler(evt) {
+    state.x = 5
+    state.viaIndex = state["x"]
+    state.viaGet = state.get("x")
+    state.missing = state["nope"]
+    state.has = state.containsKey("x")
+    state.hasNot = state.containsKey("nope")
+}
+)");
+  h.Run();
+  const auto& s = h.state().app_state[0];
+  EXPECT_DOUBLE_EQ(s.at("viaIndex").AsNumber(), 5);
+  EXPECT_DOUBLE_EQ(s.at("viaGet").AsNumber(), 5);
+  EXPECT_TRUE(s.at("missing").is_null());
+  EXPECT_TRUE(s.at("has").AsBool());
+  EXPECT_FALSE(s.at("hasNot").AsBool());
+}
+
+TEST(EvaluatorTest, UnevaluableInterpolationsStayVerbatim) {
+  Harness h(R"(
+def handler(evt) {
+    state.msg = "a ${evt.value} b ${(} c ${noSuchName} d ${e"
+}
+)");
+  h.Run();
+  EXPECT_EQ(h.state().app_state[0].at("msg").AsString(),
+            "a active b ${(} c ${noSuchName} d ${e");
 }
 
 TEST(EvaluatorTest, PersistentStateSurvivesAcrossInvocations) {

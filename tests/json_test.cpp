@@ -105,6 +105,22 @@ TEST(JsonValueTest, Equality) {
   EXPECT_FALSE(Parse("1") == Parse("\"1\""));
 }
 
+TEST(JsonParseTest, NestingCapRejectsDeepInput) {
+  // 100k levels used to overflow the stack; past the cap it is a
+  // ParseError, at the cap it still parses.
+  const std::size_t deep = 100000;
+  EXPECT_THROW(Parse(std::string(deep, '[') + std::string(deep, ']')),
+               ParseError);
+  EXPECT_THROW(Parse(std::string(deep, '{')), ParseError);
+  std::string objects;
+  for (int i = 0; i < kMaxDepth + 1; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kMaxDepth + 1, '}');
+  EXPECT_THROW(Parse(objects), ParseError);
+  const std::string at_cap = std::string(kMaxDepth, '[') +
+                             std::string(kMaxDepth, ']');
+  EXPECT_NO_THROW(Parse(at_cap));
+}
+
 TEST(JsonDumpTest, RoundTrip) {
   const char* docs[] = {
       "null", "true", "42", "\"hi\"", "[1,2,3]",

@@ -23,6 +23,19 @@ TEST(ExprParserTest, Precedence) {
   EXPECT_EQ(Parsed("!a && b"), "(!a && b)");
 }
 
+TEST(ExprParserTest, NestingCapRejectsDeepInput) {
+  // 10k nested parens used to overflow the stack.
+  const std::size_t deep = 10000;
+  EXPECT_THROW(
+      ParseExpression(std::string(deep, '(') + "1" + std::string(deep, ')')),
+      ParseError);
+  EXPECT_THROW(ParseExpression(std::string(deep, '!') + "a"), ParseError);
+  EXPECT_THROW(ParseExpression(std::string(deep, '[') + std::string(deep, ']')),
+               ParseError);
+  // Realistic nesting stays well inside the cap.
+  EXPECT_EQ(Parsed(std::string(20, '(') + "1" + std::string(20, ')')), "1");
+}
+
 TEST(ExprParserTest, Associativity) {
   EXPECT_EQ(Parsed("1 - 2 - 3"), "((1 - 2) - 3)");
   EXPECT_EQ(Parsed("8 / 4 / 2"), "((8 / 4) / 2)");
@@ -247,6 +260,33 @@ preferences {
 }
 )APP");
   ASSERT_EQ(app.inputs.size(), 1u);
+}
+
+TEST(AppParserTest, NestingCapRejectsDeepStatements) {
+  std::string body;
+  for (int i = 0; i < 5000; ++i) body += "if (x) ";
+  body += "y()";
+  EXPECT_THROW(ParseApp("definition(name: \"Deep\", namespace: \"t\")\n"
+                        "def h(evt) { " + body + " }"),
+               ParseError);
+}
+
+TEST(AppParserTest, InterpolationsParsedOnce) {
+  ExprPtr e = ParseExpression("\"a ${b.c} ${(} d ${e\"");
+  ASSERT_EQ(e->parts.size(), 5u);
+  EXPECT_EQ(e->parts[0].text, "a ");
+  ASSERT_NE(e->parts[1].expr, nullptr);
+  EXPECT_EQ(PrintExpr(*e->parts[1].expr), "b.c");
+  EXPECT_EQ(e->parts[1].text, "${b.c}");
+  EXPECT_EQ(e->parts[2].text, " ");
+  // Unparseable and unterminated fragments stay literal.
+  EXPECT_EQ(e->parts[3].expr, nullptr);
+  EXPECT_EQ(e->parts[3].text, "${(}");
+  EXPECT_EQ(e->parts[4].text, " d ${e");
+  EXPECT_TRUE(ParseExpression("\"plain\"")->parts.empty());
+  ExprPtr clone = CloneExpr(*e);
+  ASSERT_EQ(clone->parts.size(), 5u);
+  EXPECT_EQ(PrintExpr(*clone->parts[1].expr), "b.c");
 }
 
 TEST(AppParserTest, CloneProducesIdenticalPrint) {

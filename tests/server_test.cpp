@@ -383,6 +383,45 @@ TEST_F(ServerTest, MalformedBodiesAreStructuredClientErrors) {
   EXPECT_GT(registry_.server.responses_client_error.load(), 0u);
 }
 
+TEST_F(ServerTest, DeeplyNestedInputIsAStructuredErrorNotACrash) {
+  StartServer();
+  const int port = server_->port();
+
+  // A 200 KB [[[…]]] body, far under the body cap, used to overflow the
+  // JSON parser's stack and take the daemon down.
+  const std::size_t deep = 100000;
+  ClientResponse deep_json =
+      Fetch(port, "POST", "/v1/check",
+            std::string(deep, '[') + std::string(deep, ']'));
+  ASSERT_TRUE(deep_json.complete);
+  EXPECT_EQ(deep_json.status, 400);
+  EXPECT_EQ(ErrorCode(deep_json), "bad_json");
+
+  // 10k nested parens in an inline app source: the app is rejected like
+  // any other unparseable source.
+  json::Value body = json::Parse(CheckBody());
+  json::Object sources;
+  sources["Deep App"] =
+      "definition(name: \"Deep App\", namespace: \"t\")\n"
+      "def installed() { x = " +
+      std::string(10000, '(') + "1" + std::string(10000, ')') + " }\n";
+  body.MutableObject()["appSources"] = std::move(sources);
+  json::Object deep_app;
+  deep_app["app"] = "Deep App";
+  deep_app["inputs"] = json::Object{};
+  body.MutableObject()["deployment"].MutableObject()["apps"].MutableArray()
+      .push_back(json::Value(std::move(deep_app)));
+  ClientResponse deep_source = Fetch(port, "POST", "/v1/check", body.Dump(0));
+  ASSERT_TRUE(deep_source.complete);
+  EXPECT_EQ(deep_source.status, 200);
+  EXPECT_NE(deep_source.body.find("nesting deeper than"), std::string::npos)
+      << deep_source.body;
+
+  ClientResponse health = Fetch(port, "GET", "/v1/health");
+  ASSERT_TRUE(health.complete);
+  EXPECT_EQ(health.status, 200);
+}
+
 TEST_F(ServerTest, OversizedBodyIsShedWith413) {
   ServerConfig config;
   config.max_body_bytes = 512;

@@ -75,6 +75,38 @@ TEST(StateStoreConcurrencyTest, ExhaustiveStoreLosesNoInserts) {
   }
 }
 
+TEST(StateStoreConcurrencyTest, HashOncePathLosesNoInsertsUnderCollisions) {
+  // Callers that hash once hand the hash in.  Here every state carries
+  // one of only four hashes, so all eight workers race on four buckets
+  // of a few shards: byte comparison alone must keep membership exact.
+  ExhaustiveStore store(16);
+  std::atomic<std::uint64_t> new_states{0};
+  auto forced_hash = [](const std::string& state) {
+    return (ExhaustiveStore::Hash(Bytes(state)) & 3) << 32;
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const std::string& state : StatesFor(t)) {
+        if (!store.TestAndInsertHashed(Bytes(state), forced_hash(state))) {
+          new_states.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::set<std::string> distinct;
+  for (int t = 0; t < kThreads; ++t) {
+    for (const std::string& state : StatesFor(t)) distinct.insert(state);
+  }
+  EXPECT_EQ(store.size(), distinct.size());
+  EXPECT_EQ(new_states.load(), distinct.size());
+  for (const std::string& state : distinct) {
+    EXPECT_TRUE(store.TestAndInsertHashed(Bytes(state), forced_hash(state)));
+  }
+}
+
 TEST(StateStoreConcurrencyTest, BitstateStoreMatchesSerialReplay) {
   BitstateStore store(std::size_t{1} << 20);
   std::atomic<std::uint64_t> insert_calls{0};
