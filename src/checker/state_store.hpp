@@ -94,7 +94,7 @@ class ExhaustiveStore final : public StateStore {
   }
 
   /// TestAndInsert with `hash` precomputed by the caller: it picks the
-  /// shard and the bucket and is stored with the state, so the bytes are
+  /// shard and the slot and is stored with the state, so the bytes are
   /// hashed once per probe.  Membership still compares the bytes: two
   /// different states under one hash are both kept.
   bool TestAndInsertHashed(std::span<const std::uint8_t> bytes,

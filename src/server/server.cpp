@@ -108,6 +108,7 @@ Server::~Server() { Stop(); }
 void Server::Start() {
   if (running_.load()) return;
   stopping_.store(false);
+  accepting_done_ = false;
 
   // Warm state shared by every request: the checker pool and the result
   // cache.  Pre-parse the built-in property expressions once — they are
@@ -193,6 +194,10 @@ void Server::Stop() {
   // The acceptor is done: whatever sits in the queue is the complete
   // set of accepted-but-unserved connections.  Wake the sessions so
   // they drain it and exit.
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    accepting_done_ = true;
+  }
   queue_cv_.notify_all();
   for (std::thread& session : sessions_) {
     if (session.joinable()) session.join();
@@ -262,11 +267,10 @@ bool Server::PopConnection(int& fd, std::uint64_t& queue_wait_us) {
   QueuedConnection conn;
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);
-    queue_cv_.wait(lock, [this] {
-      return !queue_.empty() || stopping_.load(std::memory_order_relaxed);
-    });
+    queue_cv_.wait(lock, [this] { return !queue_.empty() || accepting_done_; });
     // Drain semantics: even while stopping, accepted connections are
-    // served; a session only exits once the queue is empty.
+    // served; a session only exits once the acceptor is done and the
+    // queue is empty.
     if (queue_.empty()) return false;
     conn = queue_.front();
     queue_.pop_front();
@@ -284,10 +288,7 @@ void Server::SessionMain() {
   while (true) {
     int fd = -1;
     std::uint64_t queue_wait_us = 0;
-    if (!PopConnection(fd, queue_wait_us)) {
-      if (stopping_.load(std::memory_order_relaxed)) return;
-      continue;
-    }
+    if (!PopConnection(fd, queue_wait_us)) return;
     active_connections_.fetch_add(1, std::memory_order_relaxed);
     requests_served_.fetch_add(ServeConnection(fd, queue_wait_us),
                                std::memory_order_relaxed);

@@ -216,6 +216,11 @@ class Server {
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<QueuedConnection> queue_;
+  /// Set (under queue_mutex_) once the acceptor has exited: only then is
+  /// the queue final, so sessions drain until this is set and the queue
+  /// is empty.  `stopping_` alone is not enough, since the acceptor may
+  /// still queue one last connection after it is raised.
+  bool accepting_done_ = false;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
