@@ -280,7 +280,8 @@ StepIdentity IdentityOf(const model::SystemModel& model,
   switch (event.kind) {
     case model::ExternalEventSpec::Kind::kSensor: {
       const devices::Device& device = model.devices()[event.device];
-      const devices::AttributeSpec& attr = *device.attributes()[event.attribute];
+      const devices::AttributeSpec& attr =
+          *device.attributes()[event.attribute];
       id.kind = "sensor";
       id.device = device.id();
       id.attribute = attr.name;
@@ -898,7 +899,8 @@ class Search {
   }
 
   /// ComparePaths of the current (compact) path against a recorded one.
-  int ComparePathTo(const std::string& detail, const Violation& recorded) const {
+  int ComparePathTo(const std::string& detail,
+                    const Violation& recorded) const {
     auto step = [this](std::size_t i) {
       const PathStep& p = path_[i];
       return IdentityOf(model_, p.event, p.failure, p.outcome_index);

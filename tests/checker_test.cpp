@@ -30,7 +30,7 @@ TEST(ExhaustiveStoreTest, ExactMembership) {
 
 TEST(ExhaustiveStoreTest, CollidingHashesKeepBothStates) {
   // Two different states forced under one precomputed hash: the hash
-  // only picks shard and bucket, membership compares the bytes.
+  // only picks shard and slot, membership compares the bytes.
   ExhaustiveStore store(4);
   const std::uint64_t hash = 0x1234567890abcdefULL;
   EXPECT_FALSE(store.TestAndInsertHashed(Bytes({1, 2, 3}), hash));
@@ -46,7 +46,8 @@ TEST(ExhaustiveStoreTest, CollidingHashesKeepBothStates) {
 
 TEST(ExhaustiveStoreTest, HashSeparatesZeroPaddedTails) {
   // The word hash zero-pads the tail; the length keeps these apart.
-  EXPECT_NE(ExhaustiveStore::Hash(Bytes({})), ExhaustiveStore::Hash(Bytes({0})));
+  EXPECT_NE(ExhaustiveStore::Hash(Bytes({})),
+            ExhaustiveStore::Hash(Bytes({0})));
   EXPECT_NE(ExhaustiveStore::Hash(Bytes({1})),
             ExhaustiveStore::Hash(Bytes({1, 0})));
   EXPECT_NE(ExhaustiveStore::Hash(Bytes({1, 2, 3, 4, 5, 6, 7, 8})),

@@ -271,7 +271,7 @@ TEST(AppParserTest, NestingCapRejectsDeepStatements) {
                ParseError);
 }
 
-TEST(AppParserTest, InterpolationsParsedOnce) {
+TEST(ExprParserTest, InterpolationsParsedWithTheLiteral) {
   ExprPtr e = ParseExpression("\"a ${b.c} ${(} d ${e\"");
   ASSERT_EQ(e->parts.size(), 5u);
   EXPECT_EQ(e->parts[0].text, "a ");
