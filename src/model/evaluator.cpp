@@ -19,6 +19,46 @@ using dsl::ExprKind;
 using dsl::Stmt;
 using dsl::StmtKind;
 
+/// The `evt` object a handler receives for `event`.
+Value MakeEventValue(const SystemModel& model, const devices::Event& event) {
+  ValueMap fields;
+  switch (event.source) {
+    case devices::EventSource::kDevice: {
+      const devices::Device& device = model.devices()[event.device];
+      const devices::AttributeSpec& attr =
+          *device.attributes()[event.attribute];
+      fields["name"] = Value::String(attr.name);
+      fields["value"] = Value::String(attr.ValueName(event.value));
+      if (attr.kind == devices::AttributeKind::kNumeric) {
+        fields["numericValue"] = Value::Number(attr.NumericAt(event.value));
+        fields["doubleValue"] = fields["numericValue"];
+        fields["integerValue"] = fields["numericValue"];
+      }
+      fields["device"] = Value::Device(event.device);
+      fields["deviceId"] = Value::String(device.id());
+      fields["displayName"] = Value::String(device.id());
+      break;
+    }
+    case devices::EventSource::kLocationMode:
+      fields["name"] = Value::String("mode");
+      fields["value"] = Value::String(model.modes()[event.value]);
+      break;
+    case devices::EventSource::kAppTouch:
+      fields["name"] = Value::String("touch");
+      fields["value"] = Value::String("touched");
+      break;
+    case devices::EventSource::kTimer:
+      fields["name"] = Value::String("timer");
+      fields["value"] = Value::String("fired");
+      break;
+  }
+  fields["isStateChange"] = Value::Bool(true);
+  fields["descriptionText"] =
+      Value::String(fields["name"].ToDisplayString() + " is " +
+                    fields["value"].ToDisplayString());
+  return Value::Map(std::move(fields));
+}
+
 /// Thrown to unwind to the enclosing method on `return`.
 struct ReturnSignal {
   Value value;
@@ -1199,45 +1239,6 @@ class Interp {
 };
 
 }  // namespace
-
-Value MakeEventValue(const SystemModel& model, const devices::Event& event) {
-  ValueMap fields;
-  switch (event.source) {
-    case devices::EventSource::kDevice: {
-      const devices::Device& device = model.devices()[event.device];
-      const devices::AttributeSpec& attr =
-          *device.attributes()[event.attribute];
-      fields["name"] = Value::String(attr.name);
-      fields["value"] = Value::String(attr.ValueName(event.value));
-      if (attr.kind == devices::AttributeKind::kNumeric) {
-        fields["numericValue"] = Value::Number(attr.NumericAt(event.value));
-        fields["doubleValue"] = fields["numericValue"];
-        fields["integerValue"] = fields["numericValue"];
-      }
-      fields["device"] = Value::Device(event.device);
-      fields["deviceId"] = Value::String(device.id());
-      fields["displayName"] = Value::String(device.id());
-      break;
-    }
-    case devices::EventSource::kLocationMode:
-      fields["name"] = Value::String("mode");
-      fields["value"] = Value::String(model.modes()[event.value]);
-      break;
-    case devices::EventSource::kAppTouch:
-      fields["name"] = Value::String("touch");
-      fields["value"] = Value::String("touched");
-      break;
-    case devices::EventSource::kTimer:
-      fields["name"] = Value::String("timer");
-      fields["value"] = Value::String("fired");
-      break;
-  }
-  fields["isStateChange"] = Value::Bool(true);
-  fields["descriptionText"] =
-      Value::String(fields["name"].ToDisplayString() + " is " +
-                    fields["value"].ToDisplayString());
-  return Value::Map(std::move(fields));
-}
 
 const Value& EventValueCache::Get(const SystemModel& model,
                                   const devices::Event& event) {

@@ -32,9 +32,6 @@ class EventValueCache {
   std::unordered_map<std::uint64_t, Value> values_;
 };
 
-/// The `evt` object a handler receives for `event`.
-Value MakeEventValue(const SystemModel& model, const devices::Event& event);
-
 class Evaluator {
  public:
   /// `queue` receives the cyber events the handler generates (actuator
