@@ -501,7 +501,7 @@ class Search {
         owned_footprints_(MakeFootprints(model, options, shared)),
         footprints_(shared != nullptr ? shared->footprints
                                       : owned_footprints_.get()),
-        engine_(model, footprints_, /*notes=*/guide != nullptr),
+        engine_(model, footprints_, /*notes=*/false),
         noted_engine_(model, footprints_, /*notes=*/true),
         guide_(guide),
         shared_(shared) {
@@ -583,8 +583,9 @@ class Search {
   // construction (member-init order).
   std::unique_ptr<model::FootprintIndex> owned_footprints_;
   const model::FootprintIndex* footprints_ = nullptr;
-  // engine_ keeps no notes in the free search; noted_engine_ re-applies
-  // the steps of a recorded violation to build its forensics.
+  // engine_ keeps no notes, in the free search and in guided replay;
+  // noted_engine_ re-applies the steps of a recorded violation to build
+  // its forensics.
   model::CascadeEngine engine_;
   model::CascadeEngine noted_engine_;
   const std::vector<GuideStep>* guide_;
@@ -605,17 +606,15 @@ class Search {
   model::CancelFn cancel_;
 
   /// One external-event step of the current DFS path, kept compact: what
-  /// re-executes it, plus the live state it started from and the outcome
-  /// it took.
-  /// Both pointers target DFS frames that outlive the step's time on
-  /// the path.  Full TraceSteps are built from these only when a
-  /// violation is recorded (BuildSteps).
+  /// re-executes it, plus the live state it started from.  `before`
+  /// points into a DFS frame that outlives the step's time on the path.
+  /// Full TraceSteps are built from these only when a violation is
+  /// recorded (BuildSteps).
   struct PathStep {
     model::ExternalEvent event;
     model::FailureScenario failure;
     int outcome_index = 0;
     const model::SystemState* before = nullptr;
-    const model::StepOutcome* outcome = nullptr;
   };
 
   // Current DFS path context: the compact steps, and causality data for
@@ -874,7 +873,7 @@ class Search {
   }
 
   /// Full TraceSteps for the current path: the one place counter-example
-  /// forensics are built.  Without notes in the search, each step is
+  /// forensics are built.  The search runs without notes, so each step is
   /// re-applied with notes on; Apply is deterministic, so the re-run
   /// reproduces the recorded outcome with its Fig. 7 lines.
   std::vector<TraceStep> BuildSteps() const {
@@ -882,18 +881,12 @@ class Search {
     steps.reserve(path_.size());
     for (std::size_t d = 0; d < path_.size(); ++d) {
       const PathStep& step = path_[d];
-      const int depth = static_cast<int>(d);
-      if (guide_ != nullptr) {  // the guided engine keeps notes
-        steps.push_back(MakeStep(*step.before, step.event, step.failure,
-                                 *step.outcome, depth, step.outcome_index));
-        continue;
-      }
       const std::vector<model::StepOutcome> outcomes = noted_engine_.Apply(
           *step.before, step.event, step.failure, options_.scheduling);
       steps.push_back(MakeStep(
           *step.before, step.event, step.failure,
-          outcomes.at(static_cast<std::size_t>(step.outcome_index)), depth,
-          step.outcome_index));
+          outcomes.at(static_cast<std::size_t>(step.outcome_index)),
+          static_cast<int>(d), step.outcome_index));
     }
     return steps;
   }
@@ -1135,7 +1128,7 @@ class Search {
 
     const std::size_t actuation_mark = path_actuations_.size();
     const std::size_t mode_mark = path_mode_setters_.size();
-    path_.push_back({event, failure, outcome_index, &before, &outcome});
+    path_.push_back({event, failure, outcome_index, &before});
     path_actuations_.insert(path_actuations_.end(),
                             outcome.log.actuations.begin(),
                             outcome.log.actuations.end());

@@ -34,6 +34,10 @@ CascadeEngine::CascadeEngine(const SystemModel& model,
   }
 }
 
+telemetry::Registry* CascadeEngine::Counters() const {
+  return notes_ ? nullptr : telemetry::Active();
+}
+
 std::vector<ExternalEvent> CascadeEngine::EnabledEvents(
     const SystemState& state) const {
   std::vector<ExternalEvent> events;
@@ -93,7 +97,7 @@ void CascadeEngine::InjectExternal(SystemState& state,
                                    const FailureScenario& failure,
                                    std::deque<devices::Event>& queue,
                                    CascadeLog& log) const {
-  if (auto* t = telemetry::Active()) ++t->search.events_injected;
+  if (auto* t = Counters()) ++t->search.events_injected;
   switch (event.kind) {
     case ExternalEventSpec::Kind::kSensor: {
       const devices::Device& device = model_.devices()[event.device];
@@ -194,7 +198,7 @@ void CascadeEngine::DispatchOne(SystemState& state,
                                 std::deque<devices::Event>& queue,
                                 CascadeLog& log,
                                 const FailureScenario& failure) const {
-  if (auto* t = telemetry::Active()) ++t->search.handler_dispatches;
+  if (auto* t = Counters()) ++t->search.handler_dispatches;
   Evaluator evaluator(model_, state, queue, log, failure, notes_,
                       &event_values_);
   if (event.source == devices::EventSource::kTimer) {
@@ -275,7 +279,7 @@ void CascadeEngine::RunConcurrent(const SystemState& state,
     FootprintIndex::Fallback reason = FootprintIndex::Fallback::kNone;
     const int ample =
         footprints_->PickAmple(queue, depth, kCascadeBound, reason);
-    if (auto* t = telemetry::Active()) {
+    if (auto* t = Counters()) {
       if (ample >= 0) {
         t->por.ample_singletons.fetch_add(1, std::memory_order_relaxed);
         t->por.interleavings_pruned.fetch_add(queue.size() - 1,

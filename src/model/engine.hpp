@@ -21,6 +21,10 @@
 #include "model/state.hpp"
 #include "model/system_model.hpp"
 
+namespace iotsan::telemetry {
+class Registry;
+}  // namespace iotsan::telemetry
+
 namespace iotsan::model {
 
 class FootprintIndex;
@@ -62,7 +66,10 @@ class CascadeEngine {
   /// the Fig. 7 `trace` lines and the `dispatches` list.  Verdicts never
   /// need them, so they are off by default; the checker re-applies the
   /// few steps it reports with notes on, and Apply is deterministic, so
-  /// both runs agree on everything else.
+  /// both runs agree on everything else.  Those re-applies repeat steps
+  /// the search already made, so an engine with notes on ticks none of
+  /// the search counters (`search.events_injected`,
+  /// `search.handler_dispatches`, `por.*`).
   ///
   /// The engine memoizes the event objects handlers receive, so one
   /// engine must not run Apply on two threads at once.
@@ -100,6 +107,9 @@ class CascadeEngine {
   /// Some app has a recurring schedule: the timer tick is always enabled.
   bool recurring_schedules_ = false;
   mutable EventValueCache event_values_;
+
+  /// The active telemetry registry, or null for a notes-on engine.
+  telemetry::Registry* Counters() const;
 
   void InjectExternal(SystemState& state, const ExternalEvent& event,
                       const FailureScenario& failure,

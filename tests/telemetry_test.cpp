@@ -605,5 +605,39 @@ TEST(StoreDiagnosticsTest, RunPublishesGaugesToActiveRegistry) {
   EXPECT_GT(registry.search.handler_dispatches, 0u);
 }
 
+// The search counters count explored edges only: re-applying a recorded
+// violation's path to build its forensics ticks none of them, so serial
+// and four-lane runs agree even though violations are recorded (and
+// replaced by smaller paths) in a schedule-dependent order.
+TEST(SearchCountersTest, JobsFourCountsLikeSerialWithViolations) {
+  model::SystemModel model = UnlockModel();
+  checker::Checker checker(model);
+  for (model::Scheduling scheduling :
+       {model::Scheduling::kSequential, model::Scheduling::kConcurrent}) {
+    std::uint64_t injected[2] = {0, 0};
+    std::uint64_t dispatches[2] = {0, 0};
+    for (int i = 0; i < 2; ++i) {
+      checker::CheckOptions options;
+      options.max_events = 3;
+      options.scheduling = scheduling;
+      options.jobs = i == 0 ? 1 : 4;
+      Registry registry;
+      SetActive(&registry);
+      checker::CheckResult result = checker.Run(options);
+      SetActive(nullptr);
+      ASSERT_TRUE(result.HasViolation("P06"));
+      if (scheduling == model::Scheduling::kSequential) {
+        // One injection and one drained cascade per explored edge.
+        EXPECT_EQ(registry.search.events_injected, result.cascade_drains);
+      }
+      injected[i] = registry.search.events_injected;
+      dispatches[i] = registry.search.handler_dispatches;
+    }
+    EXPECT_GT(injected[0], 0u);
+    EXPECT_EQ(injected[0], injected[1]);
+    EXPECT_EQ(dispatches[0], dispatches[1]);
+  }
+}
+
 }  // namespace
 }  // namespace iotsan::telemetry
