@@ -3,13 +3,22 @@
 //     apps; the whole pipeline must check them without crashing;
 //   * repeated runs of the checker over the same system must be
 //     bit-identical (determinism is what makes every experiment in
-//     EXPERIMENTS.md reproducible).
+//     EXPERIMENTS.md reproducible);
+//   * every way of running a check's related-set groups (serial or
+//     parallel, cache cold or warm, registry full or delta, cluster
+//     degraded to local) must render the same report.
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <string>
+#include <vector>
 
+#include "cache/result_cache.hpp"
+#include "cluster/cluster.hpp"
 #include "config/builder.hpp"
 #include "core/sanitizer.hpp"
+#include "core/service.hpp"
+#include "registry/delta.hpp"
 #include "util/rng.hpp"
 
 namespace iotsan {
@@ -172,6 +181,75 @@ TEST(DeterminismTest, SchedulingModesAgreeOnVerdicts) {
   core::SanitizerReport s = sanitizer.Check(sequential);
   core::SanitizerReport c = sanitizer.Check(concurrent);
   EXPECT_EQ(s.ViolatedPropertyIds(), c.ViolatedPropertyIds());
+}
+
+/// What every group-running path must agree on: the rendered report
+/// with its wall-clock figure scrubbed, and the un-merged per-set
+/// violations with their counter-example traces.
+struct RunnerFacts {
+  std::string text;
+  std::vector<std::string> per_set_violations;
+
+  bool operator==(const RunnerFacts&) const = default;
+};
+
+RunnerFacts FactsOf(const core::CheckResponse& response) {
+  static const std::regex kSeconds(" in [0-9]+\\.[0-9]+s");
+  RunnerFacts out;
+  out.text = std::regex_replace(response.text, kSeconds, " in <s>");
+  for (const checker::Violation& v : response.report.per_set_violations) {
+    out.per_set_violations.push_back(checker::ViolationToJson(v).Dump(0));
+  }
+  return out;
+}
+
+TEST(DeterminismTest, GroupRunnerPathsRenderIdenticalReports) {
+  for (int seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 5);
+    core::CheckRequest request;
+    request.deployment = FuzzHome(4);
+    for (int i = 0; i < 4; ++i) {
+      const std::string name = "Fuzz App " + std::to_string(i);
+      request.extra_sources[name] = RandomApp(rng, name);
+    }
+    request.options.events = 2;
+    request.options.failures = seed % 2 == 1;
+    const RunnerFacts serial = FactsOf(core::RunCheck(request));
+    ASSERT_FALSE(serial.text.empty());
+
+    // With failure modelling, the apps a parallel search charges for a
+    // violation depend on which path reached the state first (an open
+    // defect), so the jobs comparison covers failure-free runs only.
+    if (!request.options.failures) {
+      core::CheckRequest parallel = request;
+      parallel.options.jobs = 4;
+      EXPECT_EQ(FactsOf(core::RunCheck(parallel)), serial) << "jobs 4";
+    }
+
+    cache::ResultCache cache(cache::CacheConfig{});
+    core::ServiceEnv cached;
+    cached.cache = &cache;
+    EXPECT_EQ(FactsOf(core::RunCheck(request, cached)), serial) << "cold";
+    EXPECT_EQ(FactsOf(core::RunCheck(request, cached)), serial) << "warm";
+
+    const registry::RegistryCheckOutcome full =
+        registry::RunRegistryCheck(request, {}, nullptr);
+    EXPECT_EQ(FactsOf(full.response), serial) << "registry full";
+    const registry::RegistryCheckOutcome delta =
+        registry::RunRegistryCheck(request, {}, &full.record);
+    EXPECT_EQ(delta.groups_reused, delta.groups_total);
+    EXPECT_EQ(FactsOf(delta.response), serial) << "registry delta";
+
+    cluster::ClusterOptions cluster_options;
+    cluster_options.workers = {{"127.0.0.1", 1}};  // nothing listens
+    cluster_options.connect_timeout_ms = 1000;
+    cluster_options.max_attempts = 1;
+    cluster::Coordinator coordinator(std::move(cluster_options));
+    const cluster::ClusterOutcome degraded = coordinator.Check(request);
+    EXPECT_TRUE(degraded.degraded_local);
+    EXPECT_EQ(FactsOf(degraded.response), serial) << "cluster degraded";
+  }
 }
 
 }  // namespace
