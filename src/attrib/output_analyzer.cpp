@@ -8,7 +8,6 @@
 #include "core/sanitizer.hpp"
 #include "corpus/corpus.hpp"
 #include "dsl/parser.hpp"
-#include "props/property.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -96,12 +95,6 @@ AttributionResult AttributeApp(const std::string& app_source,
   AttributionOptions run_options = options;
   std::unique_ptr<util::ThreadPool> owned_pool;
   if (jobs > 1 && run_options.check.pool == nullptr) {
-    // Pre-parse the shared built-in property expressions before any
-    // config worker can race on their lazy cache (invariants only;
-    // monitor kinds have no expression).
-    for (const props::Property& p : props::BuiltinProperties()) {
-      if (p.kind == props::PropertyKind::kInvariant) p.ParsedExpression();
-    }
     owned_pool = std::make_unique<util::ThreadPool>(jobs);
     run_options.check.pool = owned_pool.get();
     if (auto* t = telemetry::Active()) {

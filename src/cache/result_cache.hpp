@@ -134,6 +134,13 @@ class ResultCache {
   std::map<std::uint64_t, std::shared_ptr<InFlight>> in_flight_;
 };
 
+/// True when `result` is a pure function of its key, so it may be
+/// replayed later — from this cache or a registry record: budget-stopped
+/// runs depend on wall clock, and multi-lane bitstate searches race on
+/// bit insertions (the omission set differs run to run).
+/// `effective_jobs` is the resolved lane count of the producing run.
+bool Storable(const checker::CheckResult& result, unsigned effective_jobs);
+
 /// JSON round-trip for one cache entry (exposed for tests and the
 /// maintenance commands).  FromJson throws iotsan::Error on wrong
 /// schema/version or malformed structure.

@@ -137,6 +137,75 @@ Violation ViolationFromJson(const json::Value& value) {
   return violation;
 }
 
+json::Value CheckResultToJson(const CheckResult& result) {
+  json::Object res;
+  json::Array violations;
+  for (const Violation& v : result.violations) {
+    violations.push_back(ViolationToJson(v));
+  }
+  res["violations"] = std::move(violations);
+  res["states_explored"] = static_cast<std::int64_t>(result.states_explored);
+  res["states_matched"] = static_cast<std::int64_t>(result.states_matched);
+  res["transitions"] = static_cast<std::int64_t>(result.transitions);
+  res["cascade_drains"] = static_cast<std::int64_t>(result.cascade_drains);
+  res["completed"] = result.completed;
+  // The original compute time: a replayed result reports the seconds
+  // its run measured, so merged reports match the run that computed it.
+  res["seconds"] = result.seconds;
+  res["store_fill_ratio"] = result.store_fill_ratio;
+  res["est_omission_probability"] = result.est_omission_probability;
+  res["store_entries"] = static_cast<std::int64_t>(result.store_entries);
+  res["store_memory_bytes"] =
+      static_cast<std::int64_t>(result.store_memory_bytes);
+  res["store_bytes_per_state"] = result.store_bytes_per_state;
+  res["compress_pool_entries"] =
+      static_cast<std::int64_t>(result.compress_pool_entries);
+  res["compress_pool_bytes"] =
+      static_cast<std::int64_t>(result.compress_pool_bytes);
+  res["compress_lookups"] = static_cast<std::int64_t>(result.compress_lookups);
+  res["compress_hits"] = static_cast<std::int64_t>(result.compress_hits);
+  json::Array depths;
+  for (std::uint64_t count : result.depth_histogram) {
+    depths.push_back(static_cast<std::int64_t>(count));
+  }
+  res["depth_histogram"] = std::move(depths);
+  return res;
+}
+
+CheckResult CheckResultFromJson(const json::Value& doc) {
+  CheckResult result;
+  for (const json::Value& v : doc.At("violations").AsArray()) {
+    result.violations.push_back(ViolationFromJson(v));
+  }
+  auto count = [&doc](const char* key) {
+    return static_cast<std::uint64_t>(doc.GetNumber(key));
+  };
+  result.states_explored = count("states_explored");
+  result.states_matched = count("states_matched");
+  result.transitions = count("transitions");
+  result.cascade_drains = count("cascade_drains");
+  result.completed = doc.GetBool("completed", true);
+  result.seconds = doc.GetNumber("seconds");
+  result.store_fill_ratio = doc.GetNumber("store_fill_ratio");
+  result.est_omission_probability = doc.GetNumber("est_omission_probability");
+  result.store_entries = count("store_entries");
+  result.store_memory_bytes = count("store_memory_bytes");
+  // The COLLAPSE diagnostics and the depth histogram arrived after the
+  // cache schema froze; older documents read back with them zeroed.
+  result.store_bytes_per_state = doc.GetNumber("store_bytes_per_state");
+  result.compress_pool_entries = count("compress_pool_entries");
+  result.compress_pool_bytes = count("compress_pool_bytes");
+  result.compress_lookups = count("compress_lookups");
+  result.compress_hits = count("compress_hits");
+  if (doc.Has("depth_histogram")) {
+    for (const json::Value& depth : doc.At("depth_histogram").AsArray()) {
+      result.depth_histogram.push_back(
+          static_cast<std::uint64_t>(depth.AsNumber()));
+    }
+  }
+  return result;
+}
+
 namespace {
 
 /// Copies the run-so-far analysis-cache tallies into a progress
@@ -1243,14 +1312,6 @@ CheckResult RunParallel(const model::SystemModel& model,
     span.Attr("request_id", options.request_id);
   }
   const Clock::time_point start = Clock::now();
-
-  // Property expressions parse lazily into an unsynchronized cache;
-  // resolve them all on this thread before any worker can race on one.
-  // Monitor-kind properties carry no expression, so only invariants parse.
-  for (const props::Property& property : model.active_properties()) {
-    if (property.kind != props::PropertyKind::kInvariant) continue;
-    property.ParsedExpression();
-  }
 
   std::unique_ptr<util::ThreadPool> owned_pool;
   util::ThreadPool* pool = options.pool;

@@ -255,6 +255,14 @@ props::PropertyKind PropertyKindFromName(std::string_view name);
 json::Value ViolationToJson(const Violation& violation);
 Violation ViolationFromJson(const json::Value& value);
 
+/// JSON round-trip for a whole CheckResult: every field MergeGroupResult
+/// consumes, so a replayed result merges byte-identically.  The one
+/// codec behind cache entries, registry records, and the cluster wire.
+/// The reader takes missing counters as zero (documents written before
+/// COLLAPSE); it throws iotsan::Error on malformed structure.
+json::Value CheckResultToJson(const CheckResult& result);
+CheckResult CheckResultFromJson(const json::Value& doc);
+
 /// Bundles a violation with a reproducibility manifest.  `options` must
 /// be the CheckOptions of the run that found it; deployment name/hash
 /// come from the caller (which holds the config); build info is filled

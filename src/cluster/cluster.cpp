@@ -102,80 +102,6 @@ std::vector<WorkerSpec> ParseWorkerList(const std::string& list) {
 
 // ---- wire format -------------------------------------------------------------
 
-json::Value CheckResultToJson(const checker::CheckResult& result) {
-  json::Object res;
-  json::Array violations;
-  for (const checker::Violation& v : result.violations) {
-    violations.push_back(checker::ViolationToJson(v));
-  }
-  res["violations"] = std::move(violations);
-  res["states_explored"] = static_cast<std::int64_t>(result.states_explored);
-  res["states_matched"] = static_cast<std::int64_t>(result.states_matched);
-  res["transitions"] = static_cast<std::int64_t>(result.transitions);
-  res["cascade_drains"] = static_cast<std::int64_t>(result.cascade_drains);
-  res["completed"] = result.completed;
-  // The worker's compute time, replayed verbatim: serial single-node
-  // reports sum per-group seconds, and so does the coordinator's merge.
-  res["seconds"] = result.seconds;
-  res["store_fill_ratio"] = result.store_fill_ratio;
-  res["est_omission_probability"] = result.est_omission_probability;
-  res["store_entries"] = static_cast<std::int64_t>(result.store_entries);
-  res["store_memory_bytes"] =
-      static_cast<std::int64_t>(result.store_memory_bytes);
-  res["store_bytes_per_state"] = result.store_bytes_per_state;
-  res["compress_pool_entries"] =
-      static_cast<std::int64_t>(result.compress_pool_entries);
-  res["compress_pool_bytes"] =
-      static_cast<std::int64_t>(result.compress_pool_bytes);
-  res["compress_lookups"] =
-      static_cast<std::int64_t>(result.compress_lookups);
-  res["compress_hits"] = static_cast<std::int64_t>(result.compress_hits);
-  json::Array depths;
-  for (std::uint64_t count : result.depth_histogram) {
-    depths.push_back(static_cast<std::int64_t>(count));
-  }
-  res["depth_histogram"] = std::move(depths);
-  return json::Value(std::move(res));
-}
-
-checker::CheckResult CheckResultFromJson(const json::Value& doc) {
-  checker::CheckResult result;
-  for (const json::Value& v : doc.At("violations").AsArray()) {
-    result.violations.push_back(checker::ViolationFromJson(v));
-  }
-  result.states_explored =
-      static_cast<std::uint64_t>(doc.GetNumber("states_explored"));
-  result.states_matched =
-      static_cast<std::uint64_t>(doc.GetNumber("states_matched"));
-  result.transitions =
-      static_cast<std::uint64_t>(doc.GetNumber("transitions"));
-  result.cascade_drains =
-      static_cast<std::uint64_t>(doc.GetNumber("cascade_drains"));
-  result.completed = doc.GetBool("completed", true);
-  result.seconds = doc.GetNumber("seconds");
-  result.store_fill_ratio = doc.GetNumber("store_fill_ratio");
-  result.est_omission_probability =
-      doc.GetNumber("est_omission_probability");
-  result.store_entries =
-      static_cast<std::uint64_t>(doc.GetNumber("store_entries"));
-  result.store_memory_bytes =
-      static_cast<std::uint64_t>(doc.GetNumber("store_memory_bytes"));
-  result.store_bytes_per_state = doc.GetNumber("store_bytes_per_state");
-  result.compress_pool_entries =
-      static_cast<std::uint64_t>(doc.GetNumber("compress_pool_entries"));
-  result.compress_pool_bytes =
-      static_cast<std::uint64_t>(doc.GetNumber("compress_pool_bytes"));
-  result.compress_lookups =
-      static_cast<std::uint64_t>(doc.GetNumber("compress_lookups"));
-  result.compress_hits =
-      static_cast<std::uint64_t>(doc.GetNumber("compress_hits"));
-  for (const json::Value& count : doc.At("depth_histogram").AsArray()) {
-    result.depth_histogram.push_back(
-        static_cast<std::uint64_t>(count.AsNumber()));
-  }
-  return result;
-}
-
 json::Value UnitRequestJson(const core::CheckRequest& request,
                             const WorkUnit& unit) {
   json::Object doc;
@@ -252,35 +178,8 @@ checker::CheckResult MergeShardResults(
     UnitKind kind, std::vector<checker::CheckResult> results) {
   if (results.size() == 1) return std::move(results[0]);
   checker::CheckResult merged;
-  merged.completed = true;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    checker::CheckResult& shard = results[i];
-    merged.states_explored += shard.states_explored;
-    merged.states_matched += shard.states_matched;
-    merged.transitions += shard.transitions;
-    merged.cascade_drains += shard.cascade_drains;
-    merged.completed = merged.completed && shard.completed;
-    merged.seconds += shard.seconds;
-    merged.store_fill_ratio =
-        std::max(merged.store_fill_ratio, shard.store_fill_ratio);
-    merged.est_omission_probability = std::max(
-        merged.est_omission_probability, shard.est_omission_probability);
-    merged.store_entries += shard.store_entries;
-    merged.store_memory_bytes =
-        std::max(merged.store_memory_bytes, shard.store_memory_bytes);
-    merged.store_bytes_per_state =
-        std::max(merged.store_bytes_per_state, shard.store_bytes_per_state);
-    merged.compress_pool_entries += shard.compress_pool_entries;
-    merged.compress_pool_bytes =
-        std::max(merged.compress_pool_bytes, shard.compress_pool_bytes);
-    merged.compress_lookups += shard.compress_lookups;
-    merged.compress_hits += shard.compress_hits;
-    if (merged.depth_histogram.size() < shard.depth_histogram.size()) {
-      merged.depth_histogram.resize(shard.depth_histogram.size(), 0);
-    }
-    for (std::size_t d = 0; d < shard.depth_histogram.size(); ++d) {
-      merged.depth_histogram[d] += shard.depth_histogram[d];
-    }
+  for (checker::CheckResult& shard : results) {
+    core::MergeRunCounters(merged, shard);
     for (checker::Violation& violation : shard.violations) {
       checker::Violation* existing = nullptr;
       for (checker::Violation& have : merged.violations) {
@@ -365,22 +264,26 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
                                   const core::ServiceEnv& env) {
   if (auto* t = telemetry::Active()) ++t->cluster.checks;
 
-  // The coordinator plans with the same decomposition a single node
+  // The coordinator plans with the same group runner a single node
   // uses; the report picks up rejections, scale stats, and the related
   // set count here, exactly like Sanitizer::Check would.
-  core::Sanitizer sanitizer(request.deployment);
-  for (const auto& [name, source] : request.extra_sources) {
-    sanitizer.AddAppSource(name, source);
-  }
-  core::SanitizerOptions plan_options =
-      core::MakeCheckOptions(request.options, env);
-  plan_options.extra_properties = request.extra_properties;
-  core::SanitizerReport report;
-  const std::vector<std::vector<std::size_t>> groups =
-      sanitizer.PlanGroups(plan_options, report);
+  const core::PreparedCheck check = core::PrepareCheck(request, env);
+  core::GroupRunner runner(check.sanitizer, check.options);
+  const std::vector<std::vector<std::size_t>>& groups = runner.groups();
 
   ClusterOutcome out;
   const std::size_t healthy = ProbeWorkers();
+  // Per-unit seconds overlap across workers; report wall clock, like
+  // the in-process parallel path.
+  const Clock::time_point wall_start = Clock::now();
+  auto finish = [&] {
+    core::SanitizerReport report = runner.Merge();
+    report.seconds =
+        std::chrono::duration<double>(Clock::now() - wall_start).count();
+    out.response =
+        core::MakeCheckResponse(request.deployment, std::move(report));
+    return std::move(out);
+  };
   if (healthy == 0) {
     if (!options_.allow_local_fallback) {
       throw Error("cluster: no reachable workers (probed " +
@@ -392,9 +295,9 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
                  "degrading to local execution\n",
                  workers_.size());
     if (auto* t = telemetry::Active()) ++t->cluster.local_fallback_checks;
-    out.response = core::RunCheck(request, env);
+    runner.RunLocal();
     out.degraded_local = true;
-    return out;
+    return finish();
   }
 
   std::vector<WorkUnit> units =
@@ -403,8 +306,6 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
     t->cluster.units_planned += units.size();
   }
   out.units_total = units.size();
-
-  const Clock::time_point wall_start = Clock::now();
 
   struct UnitSlot {
     checker::CheckResult result;
@@ -519,7 +420,7 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
         if (response.status == 200) {
           const json::Value doc = json::Parse(response.body);
           checker::CheckResult result =
-              CheckResultFromJson(doc.At("unit"));
+              checker::CheckResultFromJson(doc.At("unit"));
           const double latency_ms =
               std::chrono::duration<double, std::milli>(Clock::now() -
                                                         dispatch_start)
@@ -603,12 +504,12 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
                    "locally after worker failures\n",
                    units.size() - done_count);
     }
-    core::CheckRequest unit_request = request;
-    unit_request.options.group_apps = units[i].group_apps;
-    unit_request.options.branch_modulus = units[i].branch_modulus;
-    unit_request.options.branch_residue = units[i].branch_residue;
-    unit_request.options.bitstate_seed = units[i].bitstate_seed;
-    checker::CheckResult result = core::RunCheckUnit(unit_request, env);
+    core::SanitizerOptions unit_options = check.options;
+    unit_options.check.branch_modulus = units[i].branch_modulus;
+    unit_options.check.branch_residue = units[i].branch_residue;
+    unit_options.check.bitstate_seed = units[i].bitstate_seed;
+    checker::CheckResult result = check.sanitizer.CheckGroup(
+        units[i].group_apps, unit_options, unit_options.check);
     if (auto* t = telemetry::Active()) ++t->cluster.units_local;
     std::lock_guard<std::mutex> lock(work_mutex);
     note_unit_done(i, std::move(result));
@@ -617,7 +518,8 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
   out.units_remote = units.size() - local_units;
   out.units_redispatched = redispatched;
 
-  // Merge in plan order — byte-identical to the single-node loop.
+  // Fold each group's units into its runner slot; the runner merges in
+  // plan order — byte-identical to the single-node loop.
   for (std::size_t g = 0; g < groups.size(); ++g) {
     std::vector<checker::CheckResult> parts;
     UnitKind kind = UnitKind::kGroup;
@@ -626,22 +528,9 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
       kind = units[i].kind;
       parts.push_back(std::move(slots[i].result));
     }
-    if (parts.empty()) continue;
-    core::MergeGroupResult(report, MergeShardResults(kind,
-                                                     std::move(parts)));
+    runner.Fill(g, MergeShardResults(kind, std::move(parts)));
   }
-  // Per-unit seconds overlap across workers; report wall clock, like
-  // the in-process parallel path.
-  report.seconds = std::chrono::duration<double>(Clock::now() - wall_start)
-                       .count();
-  core::FinalizeReport(report);
-
-  out.response.report = std::move(report);
-  out.response.text =
-      core::RenderCheckReport(request.deployment, out.response.report);
-  out.response.exit_code =
-      out.response.report.violations.empty() ? 0 : 1;
-  return out;
+  return finish();
 }
 
 }  // namespace iotsan::cluster

@@ -1,9 +1,9 @@
 // Distributed swarm verification: a cluster coordinator over N iotsan
 // workers (Holzmann swarm over HTTP).
 //
-// The coordinator reuses the sanitizer's own decomposition as its work
-// partition: `Sanitizer::PlanGroups` yields independent related-set
-// groups, each of which becomes one work unit dispatched to a worker's
+// The coordinator runs a check through the same core::GroupRunner a
+// single node uses and fills its slots remotely: each planned
+// related-set group becomes one work unit dispatched to a worker's
 // `POST /v1/check` with the `groupApps` option.  Oversized groups can
 // additionally be split along the checker's deterministic root
 // (event × failure) branch enumeration (`branchModulus`/`branchResidue`
@@ -12,8 +12,7 @@
 // different states.
 //
 // Determinism: group units are exactly the computations a single node
-// performs, merged in plan order through core::MergeGroupResult /
-// FinalizeReport, so a cluster run's verdicts, violation ordering, and
+// performs, merged in plan order by the runner, so a cluster run's verdicts, violation ordering, and
 // counter-example traces are byte-identical to a single-node run on
 // exhaustive stores — regardless of worker count, dispatch order, or
 // mid-run worker death.  Branch shards and swarm lanes merge through
@@ -24,9 +23,9 @@
 //
 // Robustness: workers are probed against /v1/health, every dispatch is
 // bounded by a deadline and retried with jittered exponential backoff,
-// units on a dead worker are re-dispatched to survivors, and when no
-// worker is reachable the whole check degrades to local execution with
-// a warning.  All of it is visible through the `cluster.*` counters, a
+// units on a dead worker are re-dispatched to survivors, units no
+// survivor takes run locally on the same plan, and when no worker is
+// reachable the runner computes every group locally, with a warning.  All of it is visible through the `cluster.*` counters, a
 // dispatch-latency histogram, and per-worker rows in /v1/status.
 #pragma once
 
@@ -115,13 +114,6 @@ struct ClusterOutcome {
 
 // ---- wire format (exposed for tests) -----------------------------------------
 
-/// CheckResult <-> JSON round trip for the unit response ("unit" key of
-/// the worker's envelope).  The field set mirrors the result cache's
-/// entry serialization, so every field MergeGroupResult consumes
-/// survives the trip and merged reports stay byte-identical.
-json::Value CheckResultToJson(const checker::CheckResult& result);
-checker::CheckResult CheckResultFromJson(const json::Value& doc);
-
 /// The iotsan.request/1 envelope dispatching `unit` of `request` to a
 /// worker's POST /v1/check.
 json::Value UnitRequestJson(const core::CheckRequest& request,
@@ -153,9 +145,9 @@ class Coordinator {
   /// and returns how many answered healthy.
   std::size_t ProbeWorkers();
 
-  /// Plans, dispatches, and merges one verification.  Deterministic
-  /// fields of the response match core::RunCheck exactly (see header
-  /// comment).  Throws iotsan::Error when no worker is reachable and
+  /// Plans, dispatches, and merges one verification; `seconds` is wall
+  /// time.  Deterministic fields of the response match core::RunCheck
+  /// exactly (see header comment).  Throws iotsan::Error when no worker is reachable and
   /// local fallback is disabled.
   ClusterOutcome Check(const core::CheckRequest& request,
                        const core::ServiceEnv& env = {});

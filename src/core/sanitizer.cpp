@@ -12,6 +12,7 @@
 #include "ir/analyzer.hpp"
 #include "model/system_model.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/build_info.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -102,33 +103,41 @@ std::vector<props::Property> CandidateProperties(
   return all_properties;
 }
 
+template <typename Into>
+void MergeRunCounters(Into& into, const checker::CheckResult& run) {
+  into.states_explored += run.states_explored;
+  into.states_matched += run.states_matched;
+  into.transitions += run.transitions;
+  into.cascade_drains += run.cascade_drains;
+  into.seconds += run.seconds;
+  into.completed = into.completed && run.completed;
+  into.store_fill_ratio = std::max(into.store_fill_ratio, run.store_fill_ratio);
+  into.est_omission_probability =
+      std::max(into.est_omission_probability, run.est_omission_probability);
+  into.store_memory_bytes =
+      std::max(into.store_memory_bytes, run.store_memory_bytes);
+  into.store_entries += run.store_entries;
+  into.compress_pool_entries += run.compress_pool_entries;
+  into.compress_pool_bytes =
+      std::max(into.compress_pool_bytes, run.compress_pool_bytes);
+  into.compress_lookups += run.compress_lookups;
+  into.compress_hits += run.compress_hits;
+  into.store_bytes_per_state =
+      std::max(into.store_bytes_per_state, run.store_bytes_per_state);
+  if (into.depth_histogram.size() < run.depth_histogram.size()) {
+    into.depth_histogram.resize(run.depth_histogram.size(), 0);
+  }
+  for (std::size_t i = 0; i < run.depth_histogram.size(); ++i) {
+    into.depth_histogram[i] += run.depth_histogram[i];
+  }
+}
+
+template void MergeRunCounters(SanitizerReport&, const checker::CheckResult&);
+template void MergeRunCounters(checker::CheckResult&,
+                               const checker::CheckResult&);
+
 void MergeGroupResult(SanitizerReport& report, checker::CheckResult result) {
-  report.states_explored += result.states_explored;
-  report.states_matched += result.states_matched;
-  report.transitions += result.transitions;
-  report.cascade_drains += result.cascade_drains;
-  report.seconds += result.seconds;
-  report.completed = report.completed && result.completed;
-  report.store_fill_ratio =
-      std::max(report.store_fill_ratio, result.store_fill_ratio);
-  report.est_omission_probability = std::max(
-      report.est_omission_probability, result.est_omission_probability);
-  report.store_memory_bytes =
-      std::max(report.store_memory_bytes, result.store_memory_bytes);
-  report.store_entries += result.store_entries;
-  report.compress_pool_entries += result.compress_pool_entries;
-  report.compress_pool_bytes =
-      std::max(report.compress_pool_bytes, result.compress_pool_bytes);
-  report.compress_lookups += result.compress_lookups;
-  report.compress_hits += result.compress_hits;
-  report.store_bytes_per_state =
-      std::max(report.store_bytes_per_state, result.store_bytes_per_state);
-  if (report.depth_histogram.size() < result.depth_histogram.size()) {
-    report.depth_histogram.resize(result.depth_histogram.size(), 0);
-  }
-  for (std::size_t i = 0; i < result.depth_histogram.size(); ++i) {
-    report.depth_histogram[i] += result.depth_histogram[i];
-  }
+  MergeRunCounters(report, result);
   for (const checker::Violation& violation : result.violations) {
     report.per_set_violations.push_back(violation);
   }
@@ -201,15 +210,21 @@ std::vector<std::vector<std::size_t>> Sanitizer::PlanGroups(
   return groups;
 }
 
+config::Deployment Sanitizer::SubDeployment(
+    const std::vector<std::size_t>& group) const {
+  config::Deployment sub = deployment_;
+  sub.apps.clear();
+  for (std::size_t i : group) sub.apps.push_back(deployment_.apps[i]);
+  return sub;
+}
+
 cache::GroupKey Sanitizer::GroupKeyFor(const std::vector<std::size_t>& group,
                                        const SanitizerOptions& options,
                                        const std::string& version) const {
   const model::ModelOptions model_options = EffectiveModelOptions(options);
   const std::vector<props::Property> all_properties =
       CandidateProperties(options);
-  config::Deployment sub = deployment_;
-  sub.apps.clear();
-  for (std::size_t i : group) sub.apps.push_back(deployment_.apps[i]);
+  const config::Deployment sub = SubDeployment(group);
   cache::GroupKeyInputs inputs;
   inputs.deployment = &sub;
   for (std::size_t i : group) {
@@ -225,16 +240,7 @@ cache::GroupKey Sanitizer::GroupKeyFor(const std::vector<std::size_t>& group,
 
 checker::CheckResult Sanitizer::CheckGroup(
     const std::vector<std::size_t>& group, const SanitizerOptions& options,
-    const checker::CheckOptions& check) const {
-  const model::ModelOptions model_options = EffectiveModelOptions(options);
-  const std::vector<props::Property> all_properties =
-      CandidateProperties(options);
-  // Build a sub-deployment with this group's app instances; all devices
-  // stay visible so role-based properties bind identically.
-  config::Deployment sub = deployment_;
-  sub.apps.clear();
-  for (std::size_t i : group) sub.apps.push_back(deployment_.apps[i]);
-
+    const checker::CheckOptions& check, const cache::GroupKey* key) const {
   auto run = [&]() -> checker::CheckResult {
     std::vector<ir::AnalyzedApp> group_apps;
     for (std::size_t i : group) {
@@ -251,34 +257,30 @@ checker::CheckResult Sanitizer::CheckGroup(
         build_span.Attr("request_id", check.request_id);
       }
       if (auto* t = telemetry::Active()) ++t->pipeline.models_built;
-      return model::SystemModel(config::Deployment(sub),
-                                std::move(group_apps), model_options);
+      // All devices stay visible so role-based properties bind
+      // identically in every group.
+      return model::SystemModel(SubDeployment(group), std::move(group_apps),
+                                EffectiveModelOptions(options));
     }();
     if (!options.extra_properties.empty()) {
-      model.SelectProperties(all_properties);
+      model.SelectProperties(CandidateProperties(options));
     }
     checker::Checker checker(model);
     return checker.Run(check);
   };
 
   if (options.cache == nullptr) return run();
-  // A group's result is a pure function of this key: a hit skips the
+  // A group's result is a pure function of its key: a hit skips the
   // re-analysis, model build, and search above.
-  cache::GroupKeyInputs inputs;
-  inputs.deployment = &sub;
-  for (std::size_t i : group) {
-    inputs.sources.emplace_back(deployment_.apps[i].app,
-                                SourceFor(deployment_.apps[i].app));
-  }
-  inputs.properties = &all_properties;
-  inputs.check = &check;
-  inputs.model = &model_options;
-  inputs.version = options.cache->version();
   const unsigned effective_jobs =
       check.pool != nullptr ? static_cast<unsigned>(check.pool->jobs())
                             : util::ResolveJobs(check.jobs);
-  return options.cache->FetchOrCompute(cache::MakeGroupKey(inputs),
-                                       effective_jobs, run);
+  if (key != nullptr) {
+    return options.cache->FetchOrCompute(*key, effective_jobs, run);
+  }
+  return options.cache->FetchOrCompute(
+      GroupKeyFor(group, options, options.cache->version()), effective_jobs,
+      run);
 }
 
 SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
@@ -288,9 +290,41 @@ SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
                      static_cast<std::int64_t>(deployment_.apps.size()));
   const std::string& request_id = options.check.request_id;
   if (!request_id.empty()) pipeline_span.Attr("request_id", request_id);
-  SanitizerReport report;
-  const std::vector<std::vector<std::size_t>> groups =
-      PlanGroups(options, report);
+  GroupRunner runner(*this, options);
+  const std::optional<double> wall_seconds = runner.RunLocal();
+  SanitizerReport report = runner.Merge();
+  // Per-group seconds overlap under concurrency; report wall clock.
+  if (wall_seconds) report.seconds = *wall_seconds;
+  return report;
+}
+
+GroupRunner::GroupRunner(const Sanitizer& sanitizer,
+                         const SanitizerOptions& options)
+    : sanitizer_(sanitizer), options_(options) {
+  groups_ = sanitizer_.PlanGroups(options_, report_);
+  slots_.resize(groups_.size());
+  key_version_ = options_.cache != nullptr ? options_.cache->version()
+                                           : build::GetBuildInfo().version;
+}
+
+const cache::GroupKey& GroupRunner::Key(std::size_t g) {
+  Slot& slot = slots_[g];
+  if (!slot.key) {
+    slot.key = sanitizer_.GroupKeyFor(groups_[g], options_, key_version_);
+  }
+  return *slot.key;
+}
+
+void GroupRunner::Fill(std::size_t g, checker::CheckResult result) {
+  slots_[g].result = std::move(result);
+  slots_[g].filled = true;
+}
+
+std::optional<double> GroupRunner::RunLocal() {
+  std::vector<std::size_t> empty;
+  for (std::size_t g = 0; g < slots_.size(); ++g) {
+    if (!slots_[g].filled) empty.push_back(g);
+  }
 
   // End-to-end group latency (cache hits included — that is what a
   // caller observes) and the search throughput computed groups achieved.
@@ -300,10 +334,12 @@ SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
   std::atomic<std::uint64_t> groups_done{0};
   std::atomic<std::uint64_t> group_states{0};
   std::mutex progress_mutex;
-  auto check_group = [&](const std::vector<std::size_t>& group,
-                         const checker::CheckOptions& check) {
+  auto run_group = [&](std::size_t g, const checker::CheckOptions& check) {
     const auto group_start = std::chrono::steady_clock::now();
-    checker::CheckResult result = CheckGroup(group, options, check);
+    // Each task touches only its own slot, key included.
+    const cache::GroupKey* key = options_.cache != nullptr ? &Key(g) : nullptr;
+    Fill(g, sanitizer_.CheckGroup(groups_[g], options_, check, key));
+    const checker::CheckResult& result = slots_[g].result;
     if (auto* t = telemetry::Active()) {
       t->search_hist.group_check_duration_us.Record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -315,9 +351,9 @@ SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
                 static_cast<double>(result.states_explored) / result.seconds));
       }
     }
-    if (options.on_group_progress) {
+    if (options_.on_group_progress) {
       telemetry::GroupProgress progress;
-      progress.groups_total = groups.size();
+      progress.groups_total = empty.size();
       progress.groups_done = groups_done.fetch_add(1) + 1;
       progress.states_explored =
           group_states.fetch_add(result.states_explored) +
@@ -325,66 +361,53 @@ SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
       progress.store_memory_bytes = result.store_memory_bytes;
       progress.seconds = result.seconds;
       std::lock_guard<std::mutex> lock(progress_mutex);
-      options.on_group_progress(progress);
+      options_.on_group_progress(progress);
     }
-    return result;
   };
 
-  const unsigned jobs = util::ResolveJobs(options.check.jobs);
-  if (jobs > 1 && groups.size() > 1) {
-    // Related sets are independent models, so they fan out across the
-    // pool; each group's checker fans its root branches over the *same*
-    // pool (nested ParallelFor), so one pool serves both layers.
-    // Pre-parse the lazily-cached property expressions on this thread —
-    // group workers would otherwise race on the shared builtins.  Only
-    // invariants carry an expression; monitor kinds have none to parse.
-    for (const props::Property& p : props::BuiltinProperties()) {
-      if (p.kind == props::PropertyKind::kInvariant) p.ParsedExpression();
-    }
-    for (const props::Property& p : options.extra_properties) {
-      if (p.kind == props::PropertyKind::kInvariant) p.ParsedExpression();
-    }
-    std::unique_ptr<util::ThreadPool> owned_pool;
-    util::ThreadPool* pool = options.check.pool;
-    checker::CheckOptions check = options.check;
-    if (pool == nullptr) {
-      owned_pool = std::make_unique<util::ThreadPool>(jobs);
-      pool = owned_pool.get();
-      check.pool = pool;
-      if (auto* t = telemetry::Active()) {
-        ++t->parallel.pools_created;
-        t->parallel.workers_spawned += pool->jobs() - 1;
-      }
-    }
-    const auto wall_start = std::chrono::steady_clock::now();
-    std::vector<checker::CheckResult> results(groups.size());
-    pool->ParallelFor(groups.size(), [&](std::size_t g) {
-      results[g] = check_group(groups[g], check);
-    });
-    // Merge in group order: byte-identical to the serial loop.
-    for (checker::CheckResult& result : results) {
-      MergeGroupResult(report, std::move(result));
-    }
-    // Per-group seconds overlap under concurrency; report wall clock.
-    report.seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
+  const unsigned jobs = util::ResolveJobs(options_.check.jobs);
+  if (jobs <= 1 || empty.size() <= 1) {
+    for (std::size_t g : empty) run_group(g, options_.check);
+    return std::nullopt;
+  }
+  // Related sets are independent models, so they fan out across the
+  // pool; each group's checker fans its root branches over the *same*
+  // pool (nested ParallelFor), so one pool serves both layers.
+  std::unique_ptr<util::ThreadPool> owned_pool;
+  util::ThreadPool* pool = options_.check.pool;
+  checker::CheckOptions check = options_.check;
+  if (pool == nullptr) {
+    owned_pool = std::make_unique<util::ThreadPool>(jobs);
+    pool = owned_pool.get();
+    check.pool = pool;
     if (auto* t = telemetry::Active()) {
-      t->parallel.group_tasks += groups.size();
-      if (owned_pool != nullptr) {
-        const util::ThreadPool::Stats stats = pool->stats();
-        t->parallel.tasks_run += stats.tasks_run;
-        t->parallel.tasks_stolen += stats.tasks_stolen;
-      }
-    }
-  } else {
-    for (const std::vector<std::size_t>& group : groups) {
-      MergeGroupResult(report, check_group(group, options.check));
+      ++t->parallel.pools_created;
+      t->parallel.workers_spawned += pool->jobs() - 1;
     }
   }
+  const auto wall_start = std::chrono::steady_clock::now();
+  pool->ParallelFor(empty.size(),
+                    [&](std::size_t i) { run_group(empty[i], check); });
+  const double wall_seconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - wall_start)
+                                  .count();
+  if (auto* t = telemetry::Active()) {
+    t->parallel.group_tasks += empty.size();
+    if (owned_pool != nullptr) {
+      const util::ThreadPool::Stats stats = pool->stats();
+      t->parallel.tasks_run += stats.tasks_run;
+      t->parallel.tasks_stolen += stats.tasks_stolen;
+    }
+  }
+  return wall_seconds;
+}
 
-  FinalizeReport(report);
-  return report;
+SanitizerReport GroupRunner::Merge() {
+  for (Slot& slot : slots_) {
+    MergeGroupResult(report_, std::move(slot.result));
+  }
+  FinalizeReport(report_);
+  return std::move(report_);
 }
 
 }  // namespace iotsan::core

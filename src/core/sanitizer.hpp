@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -101,9 +102,16 @@ model::ModelOptions EffectiveModelOptions(const SanitizerOptions& options);
 std::vector<props::Property> CandidateProperties(
     const SanitizerOptions& options);
 
+/// Folds one run's search counters into `into` — a SanitizerReport, or
+/// a CheckResult gathering one group's shards: counters and seconds sum,
+/// store diagnostics take the worst run, depth histograms add
+/// element-wise.  Violations are left to the caller.
+template <typename Into>
+void MergeRunCounters(Into& into, const checker::CheckResult& run);
+
 /// Folds one related-set group's result into the aggregate report:
-/// counters sum, store diagnostics take the worst run, per-set
-/// violations append, merged violations sum occurrences per property.
+/// MergeRunCounters, then per-set violations append and merged
+/// violations sum occurrences per property.
 void MergeGroupResult(SanitizerReport& report, checker::CheckResult result);
 
 /// Deterministic final ordering: violations sorted by property id.
@@ -119,15 +127,15 @@ class Sanitizer {
   /// Registers (or overrides) an app source by definition name.
   void AddAppSource(const std::string& name, const std::string& source);
 
-  /// Runs the full pipeline.
+  /// Runs the full pipeline: every group on this host (GroupRunner).
+  /// `seconds` is wall time when the groups fan out over a pool, the
+  /// sum of per-group seconds otherwise.
   SanitizerReport Check(const SanitizerOptions& options = {}) const;
 
   /// Analyzes the installed apps and computes the related-set groups
-  /// Check dispatches (each a vector of indices into
-  /// deployment().apps), filling the report's rejection/analysis/scale
-  /// fields exactly as Check does.  Exposed so the fleet registry's
-  /// delta re-verification (src/registry) can classify groups without
-  /// running them.
+  /// a check runs (each a vector of indices into deployment().apps),
+  /// filling the report's rejection/analysis/scale fields.  GroupRunner
+  /// calls it once per check.
   std::vector<std::vector<std::size_t>> PlanGroups(
       const SanitizerOptions& options, SanitizerReport& report) const;
 
@@ -139,10 +147,13 @@ class Sanitizer {
 
   /// Builds, property-selects, and checks one related-set group,
   /// consulting `options.cache` when set.  `check` is `options.check`,
-  /// possibly rebound to a shared pool by a parallel dispatcher.
+  /// possibly rebound to a shared pool by a parallel dispatcher.  `key`
+  /// is the group's GroupKeyFor under `options`, if the caller already
+  /// has it; with a cache and no key, CheckGroup computes it.
   checker::CheckResult CheckGroup(const std::vector<std::size_t>& group,
                                   const SanitizerOptions& options,
-                                  const checker::CheckOptions& check) const;
+                                  const checker::CheckOptions& check,
+                                  const cache::GroupKey* key = nullptr) const;
 
   const config::Deployment& deployment() const { return deployment_; }
 
@@ -151,9 +162,64 @@ class Sanitizer {
   std::map<std::string, std::string> sources_;
 
   std::string SourceFor(const std::string& app_name) const;
+  /// All devices plus only `group`'s app instances: the configuration
+  /// a group is checked (and fingerprinted) under.
+  config::Deployment SubDeployment(const std::vector<std::size_t>& group) const;
   std::vector<ir::AnalyzedApp> AnalyzeInstalledApps(
       SanitizerReport& report, std::vector<bool>& rejected,
       bool allow_dynamic_discovery, const std::string& request_id) const;
+};
+
+/// The one way a check runs its related-set groups (docs/fleet.md):
+///   1. plan: PlanGroups once, one empty result slot per group;
+///   2. keys: a group's GroupKey is computed on first Key() call, so
+///      only checks with a cache or a prior record fingerprint at all;
+///   3. fill: callers Fill slots from elsewhere (a prior registry
+///      record, remote workers), then RunLocal computes the rest;
+///   4. merge: Merge folds the slots in plan order and finalizes.
+/// The runner borrows `sanitizer` and `options`; both must outlive it.
+class GroupRunner {
+ public:
+  GroupRunner(const Sanitizer& sanitizer, const SanitizerOptions& options);
+
+  const std::vector<std::vector<std::size_t>>& groups() const {
+    return groups_;
+  }
+  /// The version keys are minted under: the cache's, else the build's.
+  const std::string& key_version() const { return key_version_; }
+  /// Group `g`'s fingerprint, computed once on first call.
+  const cache::GroupKey& Key(std::size_t g);
+
+  void Fill(std::size_t g, checker::CheckResult result);
+  const checker::CheckResult& Result(std::size_t g) const {
+    return slots_[g].result;
+  }
+
+  /// Checks every empty slot's group on this host through
+  /// Sanitizer::CheckGroup, fanning out over `options.check.pool` (or
+  /// an owned pool) when jobs > 1 and more than one group is empty.
+  /// Records the group_check_* histograms and fires on_group_progress
+  /// once per group run.  Returns the fan-out's wall seconds, or
+  /// nullopt when the groups ran serially.
+  std::optional<double> RunLocal();
+
+  /// Merges every slot in plan order (MergeGroupResult; `seconds` is
+  /// their sum) and finalizes.  Moves the results out: call once, last.
+  SanitizerReport Merge();
+
+ private:
+  struct Slot {
+    std::optional<cache::GroupKey> key;
+    checker::CheckResult result;
+    bool filled = false;
+  };
+
+  const Sanitizer& sanitizer_;
+  const SanitizerOptions& options_;
+  SanitizerReport report_;
+  std::vector<std::vector<std::size_t>> groups_;
+  std::vector<Slot> slots_;
+  std::string key_version_;
 };
 
 }  // namespace iotsan::core

@@ -69,19 +69,30 @@ SanitizerOptions MakeCheckOptions(const RequestOptions& options,
   return out;
 }
 
-CheckResponse RunCheck(const CheckRequest& request, const ServiceEnv& env) {
-  Sanitizer sanitizer(request.deployment);
+PreparedCheck PrepareCheck(const CheckRequest& request,
+                           const ServiceEnv& env) {
+  PreparedCheck out{Sanitizer(request.deployment),
+                    MakeCheckOptions(request.options, env)};
   for (const auto& [name, source] : request.extra_sources) {
-    sanitizer.AddAppSource(name, source);
+    out.sanitizer.AddAppSource(name, source);
   }
-  SanitizerOptions options = MakeCheckOptions(request.options, env);
-  options.extra_properties = request.extra_properties;
+  out.options.extra_properties = request.extra_properties;
+  return out;
+}
 
+CheckResponse MakeCheckResponse(const config::Deployment& deployment,
+                                SanitizerReport report) {
   CheckResponse response;
-  response.report = sanitizer.Check(options);
-  response.text = RenderCheckReport(request.deployment, response.report);
+  response.report = std::move(report);
+  response.text = RenderCheckReport(deployment, response.report);
   response.exit_code = response.report.violations.empty() ? 0 : 1;
   return response;
+}
+
+CheckResponse RunCheck(const CheckRequest& request, const ServiceEnv& env) {
+  const PreparedCheck check = PrepareCheck(request, env);
+  return MakeCheckResponse(request.deployment,
+                           check.sanitizer.Check(check.options));
 }
 
 checker::CheckResult RunCheckUnit(const CheckRequest& request,
@@ -93,14 +104,9 @@ checker::CheckResult RunCheckUnit(const CheckRequest& request,
                   std::to_string(request.deployment.apps.size()) + " apps)");
     }
   }
-  Sanitizer sanitizer(request.deployment);
-  for (const auto& [name, source] : request.extra_sources) {
-    sanitizer.AddAppSource(name, source);
-  }
-  SanitizerOptions options = MakeCheckOptions(request.options, env);
-  options.extra_properties = request.extra_properties;
-  return sanitizer.CheckGroup(request.options.group_apps, options,
-                              options.check);
+  const PreparedCheck check = PrepareCheck(request, env);
+  return check.sanitizer.CheckGroup(request.options.group_apps, check.options,
+                                    check.options.check);
 }
 
 std::string RenderCheckHeader(const config::Deployment& deployment,

@@ -101,6 +101,20 @@ struct CheckResponse {
 SanitizerOptions MakeCheckOptions(const RequestOptions& options,
                                   const ServiceEnv& env);
 
+/// What a check request runs with, built in one place for every front
+/// end: a Sanitizer over the deployment and its inline app sources, and
+/// MakeCheckOptions plus the request's user properties.
+struct PreparedCheck {
+  Sanitizer sanitizer;
+  SanitizerOptions options;
+};
+PreparedCheck PrepareCheck(const CheckRequest& request, const ServiceEnv& env);
+
+/// Wraps a finished report: rendered text (RenderCheckReport) and exit
+/// code.
+CheckResponse MakeCheckResponse(const config::Deployment& deployment,
+                                SanitizerReport report);
+
 /// Runs the full pipeline: the one code path behind `iotsan check` and
 /// `POST /v1/check`.
 CheckResponse RunCheck(const CheckRequest& request,

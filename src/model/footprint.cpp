@@ -85,12 +85,8 @@ FootprintIndex::FootprintIndex(const SystemModel& model) : model_(model) {
         visible_slots_.Add(SlotOf(d, a));
       }
     }
-    try {
-      if (props::ReferencesMode(property.ParsedExpression())) {
-        visible_slots_.Add(mode_slot_);
-      }
-    } catch (...) {
-      visible_slots_.Add(mode_slot_);  // unparseable: stay conservative
+    if (props::ReferencesMode(property.ParsedExpression())) {
+      visible_slots_.Add(mode_slot_);
     }
   }
 

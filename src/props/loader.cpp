@@ -26,16 +26,14 @@ std::vector<Property> LoadPropertiesJson(std::string_view text) {
       throw SemanticError("user property id '" + id +
                           "' collides with a built-in property");
     }
-    Property property = MakeInvariant(
-        id, entry.GetString("category", "User"),
-        entry.GetString("description", id), expression);
-    // Validate the expression parses now, with a useful error message.
+    // MakeInvariant parses the expression; name the property on failure.
     try {
-      property.ParsedExpression();
+      out.push_back(MakeInvariant(id, entry.GetString("category", "User"),
+                                  entry.GetString("description", id),
+                                  expression));
     } catch (const Error& e) {
       throw SemanticError("user property '" + id + "': " + e.what());
     }
-    out.push_back(std::move(property));
   }
   return out;
 }

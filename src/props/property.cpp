@@ -4,14 +4,6 @@
 
 namespace iotsan::props {
 
-const dsl::Expr& Property::ParsedExpression() const {
-  if (!parsed_) {
-    dsl::ExprPtr owned = dsl::ParseExpression(expression, "property " + id);
-    parsed_ = std::shared_ptr<dsl::Expr>(owned.release());
-  }
-  return *parsed_;
-}
-
 std::vector<std::string> RolesReferenced(const dsl::Expr& expr) {
   std::vector<std::string> roles;
   auto add = [&roles](const std::string& role) {
@@ -105,9 +97,10 @@ Property MakeInvariant(std::string id, std::string category,
   p.category = std::move(category);
   p.description = std::move(description);
   p.kind = PropertyKind::kInvariant;
+  p.parsed_ = dsl::ParseExpression(expression, "property " + p.id);
   p.expression = std::move(expression);
-  p.roles = RolesReferenced(p.ParsedExpression());
-  p.universal_roles = UniversalRolesReferenced(p.ParsedExpression());
+  p.roles = RolesReferenced(*p.parsed_);
+  p.universal_roles = UniversalRolesReferenced(*p.parsed_);
   return p;
 }
 

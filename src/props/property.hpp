@@ -51,7 +51,7 @@ struct Property {
   PropertyKind kind = PropertyKind::kInvariant;
 
   /// kInvariant only: predicate that must hold in every reachable stable
-  /// state; parsed lazily from `expression`.
+  /// state; parsed once, by MakeInvariant.
   std::string expression;
 
   /// Roles referenced by `expression`.
@@ -63,11 +63,15 @@ struct Property {
   /// empty set are simply false, so their absence is harmless.
   std::vector<std::string> universal_roles;
 
-  /// Parses `expression` (cached).  Throws iotsan::ParseError.
-  const dsl::Expr& ParsedExpression() const;
+  /// The parsed `expression` (kInvariant only).  Immutable once built,
+  /// so any number of threads may read it.
+  const dsl::Expr& ParsedExpression() const { return *parsed_; }
 
  private:
-  mutable std::shared_ptr<dsl::Expr> parsed_;
+  friend Property MakeInvariant(std::string id, std::string category,
+                                std::string description,
+                                std::string expression);
+  std::shared_ptr<const dsl::Expr> parsed_;
 };
 
 /// The 45 built-in properties (38 invariants + 7 monitors), mirroring the
@@ -77,8 +81,8 @@ const std::vector<Property>& BuiltinProperties();
 /// Looks up a built-in property by id; nullptr when unknown.
 const Property* FindBuiltinProperty(const std::string& id);
 
-/// Creates a user-defined invariant property.  Role references are
-/// extracted from the expression automatically.
+/// Creates an invariant property, parsing `expression` (throws
+/// iotsan::ParseError).  Role references are extracted from it.
 Property MakeInvariant(std::string id, std::string category,
                        std::string description, std::string expression);
 

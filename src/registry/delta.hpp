@@ -29,9 +29,9 @@ struct RegistryCheckOutcome {
   std::uint64_t groups_recomputed = 0;
 };
 
-/// Plans the request's related-set groups, classifies each against
-/// `prior`'s fingerprint map (unchanged = key match -> reuse; dirty /
-/// added = no match -> re-run via Sanitizer::CheckGroup; removed =
+/// Plans the request's related-set groups (core::GroupRunner),
+/// classifies each against `prior`'s fingerprint map (unchanged = key
+/// match -> reuse; dirty / added = no match -> re-run locally; removed =
 /// prior keys with no current group -> dropped), merges in group order,
 /// and renders through the shared service renderer.
 ///

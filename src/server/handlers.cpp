@@ -500,7 +500,7 @@ HttpResponse HandleCheck(const HttpRequest& request,
     }
     if (auto* t = telemetry::Active()) ++t->server.checks;
     json::Object doc = ResponseEnvelope();
-    doc["unit"] = cluster::CheckResultToJson(unit);
+    doc["unit"] = checker::CheckResultToJson(unit);
     doc["request_id"] = request_id;
     return JsonResponse(200, std::move(doc));
   }

@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "props/property.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
@@ -111,9 +110,7 @@ void Server::Start() {
   accepting_done_ = false;
 
   // Warm state shared by every request: the checker pool and the result
-  // cache.  Pre-parse the built-in property expressions once — they are
-  // lazily cached globals, and concurrent sessions must not race on the
-  // first parse.
+  // cache.
   pool_ = std::make_unique<util::ThreadPool>(
       util::ResolveJobs(config_.jobs));
   if (!config_.access_log_path.empty()) {
@@ -125,9 +122,6 @@ void Server::Start() {
   registry::StoreConfig store_config;
   store_config.dir = config_.registry_dir;
   fleet_ = std::make_unique<registry::Fleet>(store_config);
-  for (const props::Property& p : props::BuiltinProperties()) {
-    if (p.kind == props::PropertyKind::kInvariant) p.ParsedExpression();
-  }
   if (auto* t = telemetry::Active()) {
     ++t->parallel.pools_created;
     t->parallel.workers_spawned += pool_->jobs() - 1;

@@ -115,6 +115,44 @@ TEST(AttributionTest, AllNineMaliciousAppsAttributed) {
   }
 }
 
+TEST(AttributionTest, ParallelJobsMatchSerial) {
+  // Configurations fan out over a pool shared with the nested sanitizer
+  // and checker; the report must not depend on it.
+  config::DeploymentBuilder b("vt home");
+  b.ContactPhone("555-0100");
+  b.Device("myTempMeas", "temperatureSensor", {"tempSensor"});
+  b.Device("myHeaterOutlet", "smartOutlet", {"heaterOutlet"});
+  b.Device("myACOutlet", "smartOutlet", {"acOutlet"});
+  b.Device("alicePresence", "presenceSensor", {"presence"});
+  const config::Deployment vt_home = b.Build();
+  struct Case {
+    const char* app;
+    config::Deployment home;
+  };
+  for (const Case& c : {Case{"Virtual Thermostat", vt_home},
+                        Case{"Sneaky Door Helper", BaseHome()},
+                        Case{"Presence Change Push", BaseHome()}}) {
+    SCOPED_TRACE(c.app);
+    attrib::AttributionOptions serial = FastOptions();
+    serial.enumeration.max_configs = 24;
+    attrib::AttributionOptions parallel = serial;
+    parallel.check.jobs = 4;
+    const attrib::AttributionResult a =
+        attrib::AttributeCorpusApp(c.app, c.home, serial);
+    const attrib::AttributionResult b =
+        attrib::AttributeCorpusApp(c.app, c.home, parallel);
+    EXPECT_EQ(a.verdict, b.verdict);
+    EXPECT_DOUBLE_EQ(a.phase1_ratio, b.phase1_ratio);
+    EXPECT_DOUBLE_EQ(a.phase2_ratio, b.phase2_ratio);
+    EXPECT_EQ(a.violated_properties, b.violated_properties);
+    ASSERT_EQ(a.evidence.size(), b.evidence.size());
+    for (std::size_t i = 0; i < a.evidence.size(); ++i) {
+      EXPECT_EQ(checker::ViolationToJson(a.evidence[i]).Dump(0),
+                checker::ViolationToJson(b.evidence[i]).Dump(0));
+    }
+  }
+}
+
 TEST(AttributionTest, UnknownAppThrows) {
   EXPECT_THROW(attrib::AttributeCorpusApp("No Such App", BaseHome()),
                ConfigError);

@@ -381,7 +381,7 @@ TEST(WireTest, CheckResultRoundTripsEveryMergedField) {
   result.depth_histogram = {1, 4, 9, 2};
 
   const checker::CheckResult back =
-      CheckResultFromJson(CheckResultToJson(result));
+      checker::CheckResultFromJson(checker::CheckResultToJson(result));
   EXPECT_EQ(back.states_explored, result.states_explored);
   EXPECT_EQ(back.states_matched, result.states_matched);
   EXPECT_EQ(back.transitions, result.transitions);
@@ -649,7 +649,8 @@ TEST(ClusterTest, WorkerUnitEndpointReturnsRawResult) {
   ASSERT_EQ(response.status, 200);
   const json::Value doc = json::Parse(response.body);
   ASSERT_TRUE(doc.Has("unit"));
-  const checker::CheckResult result = CheckResultFromJson(doc.At("unit"));
+  const checker::CheckResult result =
+      checker::CheckResultFromJson(doc.At("unit"));
   EXPECT_GT(result.states_explored, 0u);
   EXPECT_FALSE(result.violations.empty());
 

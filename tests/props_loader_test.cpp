@@ -43,9 +43,14 @@ TEST(PropsLoaderTest, RejectsDuplicateAndBuiltinIds) {
 }
 
 TEST(PropsLoaderTest, RejectsUnparseableExpressions) {
-  EXPECT_THROW(LoadPropertiesJson(
-                   R"([{"id": "U1", "expression": "mode == ("}])"),
-               Error);
+  try {
+    LoadPropertiesJson(R"([{"id": "U1", "expression": "mode == ("}])");
+    FAIL() << "expected a SemanticError";
+  } catch (const SemanticError& e) {
+    EXPECT_NE(std::string(e.what()).find("user property 'U1'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PropsLoaderTest, RejectsNonArrayDocuments) {
