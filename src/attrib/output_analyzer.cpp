@@ -97,10 +97,6 @@ AttributionResult AttributeApp(const std::string& app_source,
   if (jobs > 1 && run_options.check.pool == nullptr) {
     owned_pool = std::make_unique<util::ThreadPool>(jobs);
     run_options.check.pool = owned_pool.get();
-    if (auto* t = telemetry::Active()) {
-      ++t->parallel.pools_created;
-      t->parallel.workers_spawned += owned_pool->jobs() - 1;
-    }
   }
   util::ThreadPool* pool = run_options.check.pool;
 

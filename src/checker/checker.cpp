@@ -1318,10 +1318,6 @@ CheckResult RunParallel(const model::SystemModel& model,
   if (pool == nullptr) {
     owned_pool = std::make_unique<util::ThreadPool>(jobs);
     pool = owned_pool.get();
-    if (auto* t = telemetry::Active()) {
-      ++t->parallel.pools_created;
-      t->parallel.workers_spawned += pool->jobs() - 1;
-    }
   }
 
   std::unique_ptr<StateStore> store;
@@ -1461,11 +1457,6 @@ CheckResult RunParallel(const model::SystemModel& model,
   TickFinishTelemetry(result, options);
   if (auto* t = telemetry::Active()) {
     t->parallel.branch_tasks += branches.size();
-    if (owned_pool != nullptr) {
-      const util::ThreadPool::Stats stats = pool->stats();
-      t->parallel.tasks_run += stats.tasks_run;
-      t->parallel.tasks_stolen += stats.tasks_stolen;
-    }
   }
   span.Attr("states", result.states_explored);
   span.Attr("transitions", result.transitions);

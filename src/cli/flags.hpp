@@ -2,7 +2,9 @@
 //
 // Flags are declared once in FlagTable() — the parser, the generated
 // help text, and the per-command usage lines all read it, so the three
-// cannot drift.  Living in src/cli (instead of the tool's main file)
+// cannot drift.  A row names the CliFlags field its value lands in; the
+// request options' rows defer to core's option table for their range
+// and setter.  Living in src/cli (instead of the tool's main file)
 // makes the table and the strict numeric validation unit-testable
 // without spawning the binary.
 #pragma once
@@ -12,6 +14,8 @@
 #include <span>
 #include <string>
 #include <vector>
+
+#include "core/request_options.hpp"
 
 namespace iotsan::cli {
 
@@ -27,53 +31,21 @@ enum : unsigned {
   kCmdCluster = 1u << 7,
 };
 
-enum class Flag {
-  kEvents,
-  kJobs,
-  kFailures,
-  kMono,
-  kBitstate,
-  kBitstateBits,
-  kPor,
-  kStateCompression,
-  kFirst,
-  kProperties,
-  kAllowDiscovery,
-  kStats,
-  kTraceOut,
-  kProgressEvery,
-  kArtifactsDir,
-  kReplay,
-  kReverifyBitstate,
-  kCacheDir,
-  kMetricsOut,
-  kAccessLog,
-  kRegistryDir,
-  kIfMatch,
-  kHost,
-  kPort,
-  kHttpWorkers,
-  kMaxQueue,
-  kDeadline,
-  kLogLevel,
-  kLogJson,
-  kInterval,
-  kOnce,
-  kWorkers,
-  kCoordinator,
-  kUnitDeadline,
-  kBranchSplit,
-  kSwarmLanes,
-  kNoLocalFallback,
-  kHelp,
-};
+struct CliFlags;
+
+/// Stores a parsed flag into CliFlags: `value` is the flag's argument
+/// text, `number` its range-checked value (1 for a switch).
+using FlagSetter = void (*)(CliFlags& flags, const std::string& value,
+                            long long number);
 
 struct FlagSpec {
-  Flag id;
   const char* name;
   const char* arg;    // metavar; nullptr when the flag takes no value
   unsigned commands;  // bitmask of commands accepting the flag
   const char* help;
+  // Where the value lands.  nullptr marks a request option, which takes
+  // its range and setter from core::RequestOptionTable() instead.
+  FlagSetter set = nullptr;
   // Valid range for numeric-valued flags (min < max marks the flag as
   // numeric; the parser strictly validates the value against it).
   long long min = 0;
@@ -101,21 +73,11 @@ long long ParseFlagInt(const std::string& flag, const std::string& value,
                        long long min_value, long long max_value);
 
 /// Values collected from the flag table; each command reads the fields
-/// relevant to it.
-struct CliFlags {
-  int events = -1;  // -1 = keep the command's default
-  int jobs = 1;     // worker threads (0 = hardware concurrency)
-  bool failures = false;
-  bool mono = false;
-  bool bitstate = false;
-  int bitstate_bits_pow = 0;  // 0 = default (27)
-  bool por = false;               // ample-set partial-order reduction
-  bool state_compression = false; // COLLAPSE store-key compression
-  bool first = false;
-  bool allow_discovery = false;
+/// relevant to it.  The request options come first, filled through
+/// core's option table, so a command hands them on as they are.
+struct CliFlags : core::RequestOptions {
   bool stats = false;
   bool help = false;
-  bool reverify_bitstate = false;
   std::string properties_path;
   std::string trace_out;
   std::string artifacts_dir;
@@ -131,7 +93,6 @@ struct CliFlags {
   int port = 8080;            // 0 = kernel-assigned ephemeral port
   int http_workers = 4;       // HTTP session threads
   int max_queue = 64;         // accept-queue bound before 503 shedding
-  int deadline_seconds = 0;   // default per-request budget (0 = none)
   std::string log_level;      // structured-log threshold ("" = default warn)
   bool log_json = false;      // structured logs as JSON lines
   // top

@@ -21,26 +21,22 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Non-default request options forwarded verbatim to every unit — the
-/// worker must search exactly as a single node would.  `jobs` is
-/// deliberately absent: the worker's own pool size does not affect the
-/// canonicalized result, so each worker runs at its native width.
+/// worker must search exactly as a single node would.  The table says
+/// which: `jobs` stays home (each worker runs at its native width, which
+/// does not affect the canonicalized result), and `deadlineSeconds` is
+/// always explicit so a worker's own default deadline can never cut a
+/// unit short when the coordinator runs unbounded.
 json::Object BaseOptionsJson(const core::RequestOptions& options) {
   json::Object out;
-  if (options.events > 0) out["events"] = options.events;
-  if (options.failures) out["failures"] = true;
-  if (options.bitstate) out["bitstate"] = true;
-  if (options.bitstate_bits_pow > 0) {
-    out["bitstateBits"] = options.bitstate_bits_pow;
+  for (const core::RequestOptionSpec& option : core::RequestOptionTable()) {
+    const long long value = option.get(options);
+    const bool send = option.forward == core::Forward::kAlways ||
+                      (option.forward == core::Forward::kWhenSet && value > 0);
+    if (!send) continue;
+    out[option.json_key] =
+        option.integer() ? json::Value(static_cast<std::int64_t>(value))
+                         : json::Value(value != 0);
   }
-  if (options.por) out["por"] = true;
-  if (options.state_compression) out["stateCompression"] = true;
-  if (options.first) out["first"] = true;
-  if (options.reverify_bitstate) out["reverifyBitstate"] = true;
-  if (options.allow_discovery) out["allowDiscovery"] = true;
-  // Always explicit, so a worker's own default deadline can never cut a
-  // unit short when the coordinator runs unbounded.
-  out["deadlineSeconds"] =
-      static_cast<std::int64_t>(options.deadline_seconds);
   return out;
 }
 

@@ -374,31 +374,18 @@ std::optional<double> GroupRunner::RunLocal() {
   // pool; each group's checker fans its root branches over the *same*
   // pool (nested ParallelFor), so one pool serves both layers.
   std::unique_ptr<util::ThreadPool> owned_pool;
-  util::ThreadPool* pool = options_.check.pool;
   checker::CheckOptions check = options_.check;
-  if (pool == nullptr) {
+  if (check.pool == nullptr) {
     owned_pool = std::make_unique<util::ThreadPool>(jobs);
-    pool = owned_pool.get();
-    check.pool = pool;
-    if (auto* t = telemetry::Active()) {
-      ++t->parallel.pools_created;
-      t->parallel.workers_spawned += pool->jobs() - 1;
-    }
+    check.pool = owned_pool.get();
   }
   const auto wall_start = std::chrono::steady_clock::now();
-  pool->ParallelFor(empty.size(),
-                    [&](std::size_t i) { run_group(empty[i], check); });
+  check.pool->ParallelFor(empty.size(),
+                          [&](std::size_t i) { run_group(empty[i], check); });
   const double wall_seconds = std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() - wall_start)
                                   .count();
-  if (auto* t = telemetry::Active()) {
-    t->parallel.group_tasks += empty.size();
-    if (owned_pool != nullptr) {
-      const util::ThreadPool::Stats stats = pool->stats();
-      t->parallel.tasks_run += stats.tasks_run;
-      t->parallel.tasks_stolen += stats.tasks_stolen;
-    }
-  }
+  if (auto* t = telemetry::Active()) t->parallel.group_tasks += empty.size();
   return wall_seconds;
 }
 

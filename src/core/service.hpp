@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "attrib/output_analyzer.hpp"
+#include "core/request_options.hpp"
 #include "core/sanitizer.hpp"
 #include "props/property.hpp"
 #include "util/json.hpp"
@@ -25,37 +26,6 @@ class ThreadPool;
 }  // namespace iotsan::util
 
 namespace iotsan::core {
-
-/// The result-affecting options a check/attribute request may carry,
-/// mirroring the CLI flags of the same names.  Defaults match the CLI.
-struct RequestOptions {
-  int events = -1;  // -1 = the command's default (check: 3, attribute: 2)
-  int jobs = 1;     // worker threads (0 = hardware concurrency)
-  bool failures = false;
-  bool mono = false;
-  bool bitstate = false;
-  int bitstate_bits_pow = 0;  // 0 = default (27)
-  bool por = false;               // ample-set partial-order reduction
-  bool state_compression = false; // COLLAPSE store-key compression
-  bool first = false;
-  bool reverify_bitstate = false;
-  bool allow_discovery = false;
-  /// Wall-clock budget per request in seconds (0 = none).  Rides the
-  /// checker's existing CancelFn budget plumbing; a hit run reports
-  /// `completed = false` ("budget hit") and is never cached.
-  double deadline_seconds = 0;
-  /// Cluster work-unit subset (src/cluster).  Non-empty `group_apps`
-  /// switches the request from "check the whole deployment" to "check
-  /// exactly this related-set group": indices into deployment.apps, as
-  /// planned by the coordinator's PlanGroups.  Served by RunCheckUnit.
-  std::vector<std::size_t> group_apps;
-  /// Root-branch shard of the group (0/1 = whole group); see
-  /// checker::CheckOptions::branch_modulus.
-  unsigned branch_modulus = 0;
-  unsigned branch_residue = 0;
-  /// Bitstate swarm-lane hash seed (0 = default family).
-  std::uint64_t bitstate_seed = 0;
-};
 
 /// Execution environment shared across requests (none of it owned):
 /// the result cache and thread pool a resident server keeps warm, plus

@@ -84,8 +84,9 @@ bool RequireBool(const json::Value& value, const char* key) {
 }
 
 /// Parses the request's "options" object.  Every key is validated
-/// against the same ranges the CLI flag table enforces; unknown keys are
-/// rejected so a typo can never silently fall back to a default.
+/// against core's request-option table, the one the CLI flags read too;
+/// unknown keys are rejected so a typo can never silently fall back to a
+/// default.
 core::RequestOptions ParseOptions(const json::Value& doc,
                                   ParsedOptionsMeta* meta) {
   core::RequestOptions out;
@@ -96,35 +97,18 @@ core::RequestOptions ParseOptions(const json::Value& doc,
                        "\"options\" must be a JSON object");
   }
   for (const auto& [key, value] : options.AsObject()) {
-    if (key == "events") {
-      out.events = static_cast<int>(RequireInt(value, "events", 1, 64));
-    } else if (key == "jobs") {
-      out.jobs = static_cast<int>(RequireInt(value, "jobs", 0, 1024));
-      if (meta != nullptr) meta->jobs_given = true;
-    } else if (key == "failures") {
-      out.failures = RequireBool(value, "failures");
-    } else if (key == "mono") {
-      out.mono = RequireBool(value, "mono");
-    } else if (key == "bitstate") {
-      out.bitstate = RequireBool(value, "bitstate");
-    } else if (key == "bitstateBits") {
-      out.bitstate_bits_pow =
-          static_cast<int>(RequireInt(value, "bitstateBits", 10, 40));
-      out.bitstate = true;
-    } else if (key == "por") {
-      out.por = RequireBool(value, "por");
-    } else if (key == "stateCompression") {
-      out.state_compression = RequireBool(value, "stateCompression");
-    } else if (key == "first") {
-      out.first = RequireBool(value, "first");
-    } else if (key == "reverifyBitstate") {
-      out.reverify_bitstate = RequireBool(value, "reverifyBitstate");
-    } else if (key == "allowDiscovery") {
-      out.allow_discovery = RequireBool(value, "allowDiscovery");
-    } else if (key == "deadlineSeconds") {
-      out.deadline_seconds = static_cast<double>(
-          RequireInt(value, "deadlineSeconds", 0, 86400));
-      if (meta != nullptr) meta->deadline_given = true;
+    if (const core::RequestOptionSpec* option =
+            core::FindRequestOption(key)) {
+      option->set(out, option->integer()
+                           ? RequireInt(value, option->json_key, option->min,
+                                        option->max)
+                           : RequireBool(value, option->json_key));
+      // The two options a server fills from its own defaults when a
+      // request leaves them out (ApplyServerDefaults).
+      if (meta != nullptr) {
+        meta->jobs_given |= option->forward == core::Forward::kPoolSize;
+        meta->deadline_given |= option->forward == core::Forward::kAlways;
+      }
     } else if (key == "groupApps") {
       // Cluster work unit: check exactly this related-set group (app
       // indices into the deployment, as planned by the coordinator).

@@ -122,11 +122,6 @@ void Server::Start() {
   registry::StoreConfig store_config;
   store_config.dir = config_.registry_dir;
   fleet_ = std::make_unique<registry::Fleet>(store_config);
-  if (auto* t = telemetry::Active()) {
-    ++t->parallel.pools_created;
-    t->parallel.workers_spawned += pool_->jobs() - 1;
-  }
-
   service_.env.pool = pool_.get();
   service_.env.cache = cache_.get();
   service_.request_deadline_seconds = config_.request_deadline_seconds;
@@ -199,12 +194,7 @@ void Server::Stop() {
   sessions_.clear();
   CloseFd(listen_fd_);
   listen_fd_ = -1;
-  if (auto* t = telemetry::Active()) {
-    const util::ThreadPool::Stats stats = pool_->stats();
-    t->parallel.tasks_run += stats.tasks_run;
-    t->parallel.tasks_stolen += stats.tasks_stolen;
-  }
-  pool_.reset();
+  pool_.reset();  // folds its task totals into the active registry
   running_.store(false);
   if (access_log_ != nullptr) access_log_->Flush();
   if (auto* sink = telemetry::ActiveTrace()) sink->Flush();

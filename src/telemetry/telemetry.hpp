@@ -7,8 +7,10 @@
 //     parallel search workers tick them without synchronization;
 //     instrumented code pays exactly one branch per event when telemetry
 //     is disabled (`if (auto* t = Active())`) and one relaxed increment
-//     when enabled.  Snapshots are taken on demand; nothing is formatted
-//     until asked.
+//     when enabled.  Each counter names itself once, at its declaration
+//     in a group struct, and registers with its group, so snapshots,
+//     reset and JSON are loops.  Snapshots are taken on demand; nothing
+//     is formatted until asked.
 //   * Histogram — HdrHistogram-style log-linear latency/size
 //     distributions (fixed buckets, relaxed-atomic increments, no mutex
 //     on record).  Registered alongside the counters and exposed as
@@ -47,176 +49,6 @@ namespace iotsan::telemetry {
 
 // ---- Counter registry --------------------------------------------------------
 
-/// Relaxed atomic counter: worker threads tick concurrently; exact
-/// cross-counter consistency is only guaranteed at rest (between runs).
-using Counter = std::atomic<std::uint64_t>;
-
-/// Search-layer counters (checker + cascade engine).  All monotonic.
-struct SearchCounters {
-  Counter states_explored{0};    // stable states expanded
-  Counter states_matched{0};     // pruned as already-seen
-  Counter transitions{0};        // (event, failure) applications
-  Counter cascade_drains{0};     // cascades drained to quiescence
-  Counter events_injected{0};    // external events injected
-  Counter handler_dispatches{0}; // app handler invocations
-  Counter invariant_evals{0};    // property-expression evaluations
-  Counter violations_recorded{0};
-  Counter budget_stops{0};       // runs cut short by a budget
-  Counter progress_reports{0};   // on_progress invocations
-  Counter replays_run{0};        // deterministic trace re-executions
-  Counter replays_reproduced{0}; // replays that re-fired the property
-  Counter replays_refuted{0};    // bitstate violations replay killed
-};
-
-/// Pipeline-layer counters (translator, dependency analyzer, model
-/// generator, output analyzer).  All monotonic.
-struct PipelineCounters {
-  Counter apps_parsed{0};        // SmartScript sources parsed
-  Counter parse_failures{0};
-  Counter type_problems{0};      // type-inference diagnostics
-  Counter dependency_edges{0};   // edges in dependency graphs
-  Counter related_sets{0};       // related sets computed
-  Counter models_built{0};       // SystemModel instantiations
-  Counter checks_run{0};         // Checker::Run completions
-  Counter configs_enumerated{0}; // attribution configurations
-  Counter attributions{0};       // AttributeApp completions
-};
-
-/// State-store gauges: last-written values, not monotonic.  Ratios are
-/// kept in fixed point so every sample is a uint64 (permille = 1/1000,
-/// ppm = 1/1e6).
-struct StoreGauges {
-  Counter entries{0};
-  Counter memory_bytes{0};
-  Counter fill_permille{0};   // bit occupancy for BITSTATE
-  Counter omission_ppm{0};    // estimated hash-omission probability
-  /// Average store bytes paid per stored state (key bytes + bookkeeping +
-  /// intern-pool arenas when COLLAPSE compression is on).  The headline
-  /// gauge the compression work is measured by.
-  Counter bytes_per_state{0};
-  /// How many checks ended above the 50%-occupancy saturation threshold
-  /// (the stderr warning itself is emitted once per run; this counter
-  /// still ticks per saturated check).  Monotonic, unlike the gauges.
-  Counter saturation_warnings{0};
-};
-
-/// Partial-order-reduction counters (cascade engine, concurrent
-/// scheduling with --por).  All monotonic.
-struct PorCounters {
-  Counter ample_singletons{0};     // expansions reduced to one pick
-  Counter full_expansions{0};      // expansions that fanned out fully
-  Counter interleavings_pruned{0}; // picks skipped by ample singletons
-  Counter fallback_unknown{0};     // full: some footprint unboundable
-  Counter fallback_visible{0};     // full: property-relevant write
-  Counter fallback_conflict{0};    // full: overlapping footprints
-  Counter fallback_depth{0};       // full: cascade-bound proviso
-};
-
-/// COLLAPSE state-compression counters (--state-compression).  Pool
-/// entries/bytes are gauges (last-written); the rest are monotonic.
-struct CompressCounters {
-  Counter states_encoded{0};  // states turned into index tuples
-  Counter intern_lookups{0};  // component lookups across all pools
-  Counter intern_hits{0};     // ... served by an existing pool entry
-  Counter pool_entries{0};    // gauge: distinct interned components
-  Counter pool_bytes{0};      // gauge: arena + index bytes across pools
-};
-
-/// Incremental-analysis cache counters (src/cache): per-group result
-/// memoization across check/attribute runs.  All monotonic.
-struct CacheCounters {
-  Counter lookups{0};           // Lookup() calls (memory or disk)
-  Counter hits{0};              // results served from the cache
-  Counter hits_memory{0};       // ... of which from the in-memory LRU
-  Counter hits_disk{0};         // ... of which deserialized from disk
-  Counter misses{0};            // lookups that fell through to a check
-  Counter stores{0};            // entries written (memory and/or disk)
-  Counter store_skips{0};       // results refused (incomplete/bitstate)
-  Counter evictions{0};         // LRU entries displaced from memory
-  Counter corrupt_entries{0};   // unreadable disk entries treated as miss
-  Counter bytes_read{0};        // disk entry bytes deserialized
-  Counter bytes_written{0};     // disk entry bytes written
-  Counter singleflight_waits{0};// lookups that waited on an in-flight key
-};
-
-/// Parallel-execution counters: thread-pool activity and how much work
-/// each fan-out layer partitioned.  All monotonic.
-struct ParallelCounters {
-  Counter pools_created{0};    // thread pools constructed
-  Counter workers_spawned{0};  // dedicated worker threads started
-  Counter tasks_run{0};        // pool task bodies executed
-  Counter tasks_stolen{0};     // tasks executed on a lane != push lane
-  Counter branch_tasks{0};     // checker root (event × failure) branches
-  Counter group_tasks{0};      // sanitizer related sets fanned out
-  Counter config_tasks{0};     // attribution configurations fanned out
-};
-
-/// Verification-service counters (src/server): HTTP traffic, request
-/// outcomes, and load shedding.  Monotonic except the two gauges.
-struct ServerCounters {
-  Counter connections_accepted{0}; // TCP connections accepted
-  Counter requests{0};             // HTTP requests routed
-  Counter responses_ok{0};         // 2xx responses
-  Counter responses_client_error{0}; // 4xx responses
-  Counter responses_server_error{0}; // 5xx responses
-  Counter checks{0};               // POST /v1/check handled
-  Counter attributions{0};         // POST /v1/attribute handled
-  Counter bad_requests{0};         // malformed HTTP / JSON / schema
-  Counter shed_queue_full{0};      // connections shed with 503
-  Counter shed_oversized{0};       // requests shed with 413
-  Counter deadline_hits{0};        // requests stopped by their deadline
-  Counter active_connections{0};   // gauge: sessions currently serving
-  Counter queue_depth{0};          // gauge: accepted-but-unserved conns
-};
-
-/// Fleet-registry counters (src/registry): deployment lifecycle plus
-/// the delta re-verification's group classification.  The reused /
-/// recomputed split is the incrementality headline — the CI fleet
-/// smoke asserts `registry.groups_reused > 0` after a 1-app edit.
-struct FleetRegistryCounters {
-  Counter deployments_put{0};      // PUT upserts accepted
-  Counter deployments_deleted{0};  // DELETE removals
-  Counter checks_full{0};          // checks with no reusable prior groups
-  Counter checks_delta{0};         // checks that reused >=1 retained group
-  Counter groups_total{0};         // groups classified across all checks
-  Counter groups_reused{0};        // unchanged groups served from the prior rev
-  Counter groups_recomputed{0};    // dirty + added groups re-run
-  Counter revision_conflicts{0};   // If-Match guard rejections (409)
-  Counter corrupt_entries{0};      // unreadable store entries (= not_found)
-  Counter evictions{0};            // in-memory LRU layer evictions
-};
-
-/// Cluster-coordinator counters (src/cluster): work-unit lifecycle and
-/// worker-fleet health.  Monotonic except workers_healthy.
-struct ClusterCounters {
-  Counter checks{0};              // coordinated checks run
-  Counter units_planned{0};       // work units produced by the planner
-  Counter units_dispatched{0};    // dispatch attempts (retries included)
-  Counter units_completed{0};     // units merged into a report
-  Counter units_redispatched{0};  // units re-queued off a failed worker
-  Counter units_local{0};         // units that fell back to local execution
-  Counter local_fallback_checks{0}; // whole checks degraded to local
-  Counter retries{0};             // transient-error retry sleeps
-  Counter worker_failures{0};     // workers marked dead mid-check
-  Counter health_probes{0};       // GET /v1/health probes sent
-  Counter workers_healthy{0};     // gauge: healthy workers at last probe
-};
-
-/// Byte-level memory accounting: where a verification's footprint
-/// lives.  The store gauges split by kind so a bitstate run's fixed
-/// bit-field and an exhaustive run's growing hash sets are separately
-/// visible; peak_rss_bytes is the OS's high-water mark for the whole
-/// process (monotonic by construction — getrusage never goes down).
-/// These are the baseline the planned COLLAPSE/arena compression work
-/// will be measured against.
-struct MemoryGauges {
-  Counter store_exhaustive_bytes{0};  // gauge: last exhaustive-store footprint
-  Counter store_bitstate_bytes{0};    // gauge: last bitstate bit-field size
-  Counter trace_buffer_bytes{0};      // JSONL span bytes emitted (monotonic)
-  Counter cache_resident_bytes{0};    // gauge: in-memory result-cache footprint
-  Counter peak_rss_bytes{0};          // gauge: process peak RSS, monotonic
-};
-
 /// Whether a sample is a monotonically increasing counter or a
 /// last-written gauge — Prometheus exposition needs the distinction for
 /// its `# TYPE` lines (JSON output carries values only and is unchanged
@@ -227,6 +59,288 @@ struct Sample {
   std::string name;
   std::uint64_t value = 0;
   SampleKind kind = SampleKind::kCounter;
+};
+
+class Counter;
+class Histogram;
+
+/// A named family of metrics ("search", "store").  Each metric declared
+/// in a group struct registers itself here as it is constructed, so a
+/// metric is named exactly once, at its declaration, and the Registry's
+/// snapshots, reset and JSON list it in declaration order.
+template <typename Metric>
+class MetricGroup {
+ public:
+  struct Member {
+    const char* name;
+    Metric* metric;
+    SampleKind kind;
+  };
+
+  /// Appends this group to `groups`, its Registry's list.
+  MetricGroup(std::vector<MetricGroup*>& groups, const char* name)
+      : name_(name) {
+    groups.push_back(this);
+  }
+
+  const char* name() const { return name_; }
+  const std::vector<Member>& members() const { return members_; }
+  void Register(const char* name, Metric* metric,
+                SampleKind kind = SampleKind::kCounter) {
+    members_.push_back({name, metric, kind});
+  }
+
+ private:
+  const char* name_;
+  std::vector<Member> members_;
+};
+
+using CounterGroup = MetricGroup<Counter>;
+using HistogramGroup = MetricGroup<Histogram>;
+
+/// Relaxed atomic counter (or last-written gauge): worker threads tick
+/// concurrently; exact cross-counter consistency is only guaranteed at
+/// rest (between runs).  Registration happens once, at construction;
+/// the counter itself is one atomic word, so a tick stays one relaxed
+/// increment.
+class Counter : public std::atomic<std::uint64_t> {
+ public:
+  Counter(CounterGroup* group, const char* name,
+          SampleKind kind = SampleKind::kCounter)
+      : std::atomic<std::uint64_t>(0) {
+    group->Register(name, this, kind);
+  }
+  using std::atomic<std::uint64_t>::operator=;
+};
+static_assert(sizeof(Counter) == sizeof(std::uint64_t),
+              "a Counter must stay one atomic word");
+
+/// A last-written value rather than a monotonic count.
+class Gauge : public Counter {
+ public:
+  Gauge(CounterGroup* group, const char* name)
+      : Counter(group, name, SampleKind::kGauge) {}
+  using Counter::operator=;
+};
+
+/// Search-layer counters (checker + cascade engine).  All monotonic.
+struct SearchCounters : CounterGroup {
+  Counter states_explored{this, "states_explored"};  // stable states expanded
+  Counter states_matched{this, "states_matched"};  // pruned as already-seen
+  Counter transitions{this, "transitions"};  // (event, failure) applications
+  // cascades drained to quiescence
+  Counter cascade_drains{this, "cascade_drains"};
+  Counter events_injected{this, "events_injected"};  // external events injected
+  // app handler invocations
+  Counter handler_dispatches{this, "handler_dispatches"};
+  // property-expression evaluations
+  Counter invariant_evals{this, "invariant_evals"};
+  Counter violations_recorded{this, "violations_recorded"};
+  Counter budget_stops{this, "budget_stops"};  // runs cut short by a budget
+  // on_progress invocations
+  Counter progress_reports{this, "progress_reports"};
+  // deterministic trace re-executions
+  Counter replays_run{this, "replays_run"};
+  // replays that re-fired the property
+  Counter replays_reproduced{this, "replays_reproduced"};
+  // bitstate violations replay killed
+  Counter replays_refuted{this, "replays_refuted"};
+};
+
+/// Pipeline-layer counters (translator, dependency analyzer, model
+/// generator, output analyzer).  All monotonic.
+struct PipelineCounters : CounterGroup {
+  Counter apps_parsed{this, "apps_parsed"};  // SmartScript sources parsed
+  Counter parse_failures{this, "parse_failures"};
+  Counter type_problems{this, "type_problems"};  // type-inference diagnostics
+  // edges in dependency graphs
+  Counter dependency_edges{this, "dependency_edges"};
+  Counter related_sets{this, "related_sets"};  // related sets computed
+  Counter models_built{this, "models_built"};  // SystemModel instantiations
+  Counter checks_run{this, "checks_run"};  // Checker::Run completions
+  // attribution configurations
+  Counter configs_enumerated{this, "configs_enumerated"};
+  Counter attributions{this, "attributions"};  // AttributeApp completions
+};
+
+/// State-store gauges: last-written values, not monotonic.  Ratios are
+/// kept in fixed point so every sample is a uint64 (permille = 1/1000,
+/// ppm = 1/1e6).
+struct StoreGauges : CounterGroup {
+  Gauge entries{this, "entries"};
+  Gauge memory_bytes{this, "memory_bytes"};
+  Gauge fill_permille{this, "fill_permille"};  // bit occupancy for BITSTATE
+  // estimated hash-omission probability
+  Gauge omission_ppm{this, "omission_ppm"};
+  /// Average store bytes paid per stored state (key bytes + bookkeeping +
+  /// intern-pool arenas when COLLAPSE compression is on).  The headline
+  /// gauge the compression work is measured by.
+  Gauge bytes_per_state{this, "bytes_per_state"};
+  /// How many checks ended above the 50%-occupancy saturation threshold
+  /// (the stderr warning itself is emitted once per run; this counter
+  /// still ticks per saturated check).  Monotonic, unlike the gauges.
+  Counter saturation_warnings{this, "saturation_warnings"};
+};
+
+/// Partial-order-reduction counters (cascade engine, concurrent
+/// scheduling with --por).  All monotonic.
+struct PorCounters : CounterGroup {
+  // expansions reduced to one pick
+  Counter ample_singletons{this, "ample_singletons"};
+  // expansions that fanned out fully
+  Counter full_expansions{this, "full_expansions"};
+  // picks skipped by ample singletons
+  Counter interleavings_pruned{this, "interleavings_pruned"};
+  // full: some footprint unboundable
+  Counter fallback_unknown{this, "fallback_unknown"};
+  // full: property-relevant write
+  Counter fallback_visible{this, "fallback_visible"};
+  // full: overlapping footprints
+  Counter fallback_conflict{this, "fallback_conflict"};
+  // full: cascade-bound proviso
+  Counter fallback_depth{this, "fallback_depth"};
+};
+
+/// COLLAPSE state-compression counters (--state-compression).  Pool
+/// entries/bytes are gauges (last-written); the rest are monotonic.
+struct CompressCounters : CounterGroup {
+  // states turned into index tuples
+  Counter states_encoded{this, "states_encoded"};
+  // component lookups across all pools
+  Counter intern_lookups{this, "intern_lookups"};
+  // ... served by an existing pool entry
+  Counter intern_hits{this, "intern_hits"};
+  Gauge pool_entries{this, "pool_entries"};  // distinct interned components
+  Gauge pool_bytes{this, "pool_bytes"};  // arena + index bytes across pools
+};
+
+/// Incremental-analysis cache counters (src/cache): per-group result
+/// memoization across check/attribute runs.  All monotonic.
+struct CacheCounters : CounterGroup {
+  Counter lookups{this, "lookups"};  // Lookup() calls (memory or disk)
+  Counter hits{this, "hits"};  // results served from the cache
+  // ... of which from the in-memory LRU
+  Counter hits_memory{this, "hits_memory"};
+  Counter hits_disk{this, "hits_disk"};  // ... of which deserialized from disk
+  Counter misses{this, "misses"};  // lookups that fell through to a check
+  Counter stores{this, "stores"};  // entries written (memory and/or disk)
+  // results refused (incomplete/bitstate)
+  Counter store_skips{this, "store_skips"};
+  Counter evictions{this, "evictions"};  // LRU entries displaced from memory
+  // unreadable disk entries treated as miss
+  Counter corrupt_entries{this, "corrupt_entries"};
+  Counter bytes_read{this, "bytes_read"};  // disk entry bytes deserialized
+  Counter bytes_written{this, "bytes_written"};  // disk entry bytes written
+  // lookups that waited on an in-flight key
+  Counter singleflight_waits{this, "singleflight_waits"};
+};
+
+/// Parallel-execution counters: thread-pool activity and how much work
+/// each fan-out layer partitioned.  All monotonic.
+struct ParallelCounters : CounterGroup {
+  Counter pools_created{this, "pools_created"};  // thread pools constructed
+  // dedicated worker threads started
+  Counter workers_spawned{this, "workers_spawned"};
+  Counter tasks_run{this, "tasks_run"};  // pool task bodies executed
+  // tasks executed on a lane != push lane
+  Counter tasks_stolen{this, "tasks_stolen"};
+  // checker root (event × failure) branches
+  Counter branch_tasks{this, "branch_tasks"};
+  // sanitizer related sets fanned out
+  Counter group_tasks{this, "group_tasks"};
+  // attribution configurations fanned out
+  Counter config_tasks{this, "config_tasks"};
+};
+
+/// Verification-service counters (src/server): HTTP traffic, request
+/// outcomes, and load shedding.  Monotonic except the two gauges.
+struct ServerCounters : CounterGroup {
+  // TCP connections accepted
+  Counter connections_accepted{this, "connections_accepted"};
+  Counter requests{this, "requests"};  // HTTP requests routed
+  Counter responses_ok{this, "responses_ok"};  // 2xx responses
+  // 4xx responses
+  Counter responses_client_error{this, "responses_client_error"};
+  // 5xx responses
+  Counter responses_server_error{this, "responses_server_error"};
+  Counter checks{this, "checks"};  // POST /v1/check handled
+  Counter attributions{this, "attributions"};  // POST /v1/attribute handled
+  Counter bad_requests{this, "bad_requests"};  // malformed HTTP / JSON / schema
+  // connections shed with 503
+  Counter shed_queue_full{this, "shed_queue_full"};
+  Counter shed_oversized{this, "shed_oversized"};  // requests shed with 413
+  // requests stopped by their deadline
+  Counter deadline_hits{this, "deadline_hits"};
+  // sessions currently serving
+  Gauge active_connections{this, "active_connections"};
+  Gauge queue_depth{this, "queue_depth"};  // accepted-but-unserved conns
+};
+
+/// Fleet-registry counters (src/registry): deployment lifecycle plus
+/// the delta re-verification's group classification.  The reused /
+/// recomputed split is the incrementality headline — the CI fleet
+/// smoke asserts `registry.groups_reused > 0` after a 1-app edit.
+struct FleetRegistryCounters : CounterGroup {
+  Counter deployments_put{this, "deployments_put"};  // PUT upserts accepted
+  Counter deployments_deleted{this, "deployments_deleted"};  // DELETE removals
+  // checks with no reusable prior groups
+  Counter checks_full{this, "checks_full"};
+  // checks that reused >=1 retained group
+  Counter checks_delta{this, "checks_delta"};
+  // groups classified across all checks
+  Counter groups_total{this, "groups_total"};
+  // unchanged groups served from the prior rev
+  Counter groups_reused{this, "groups_reused"};
+  // dirty + added groups re-run
+  Counter groups_recomputed{this, "groups_recomputed"};
+  // If-Match guard rejections (409)
+  Counter revision_conflicts{this, "revision_conflicts"};
+  // unreadable store entries (= not_found)
+  Counter corrupt_entries{this, "corrupt_entries"};
+  Counter evictions{this, "evictions"};  // in-memory LRU layer evictions
+};
+
+/// Cluster-coordinator counters (src/cluster): work-unit lifecycle and
+/// worker-fleet health.  Monotonic except workers_healthy.
+struct ClusterCounters : CounterGroup {
+  Counter checks{this, "checks"};  // coordinated checks run
+  // work units produced by the planner
+  Counter units_planned{this, "units_planned"};
+  // dispatch attempts (retries included)
+  Counter units_dispatched{this, "units_dispatched"};
+  // units merged into a report
+  Counter units_completed{this, "units_completed"};
+  // units re-queued off a failed worker
+  Counter units_redispatched{this, "units_redispatched"};
+  // units that fell back to local execution
+  Counter units_local{this, "units_local"};
+  // whole checks degraded to local
+  Counter local_fallback_checks{this, "local_fallback_checks"};
+  Counter retries{this, "retries"};  // transient-error retry sleeps
+  // workers marked dead mid-check
+  Counter worker_failures{this, "worker_failures"};
+  Counter health_probes{this, "health_probes"};  // GET /v1/health probes sent
+  // healthy workers at last probe
+  Gauge workers_healthy{this, "workers_healthy"};
+};
+
+/// Byte-level memory accounting: where a verification's footprint
+/// lives.  The store gauges split by kind so a bitstate run's fixed
+/// bit-field and an exhaustive run's growing hash sets are separately
+/// visible; peak_rss_bytes is the OS's high-water mark for the whole
+/// process (monotonic by construction — getrusage never goes down).
+/// These are the baseline the planned COLLAPSE/arena compression work
+/// will be measured against.
+struct MemoryGauges : CounterGroup {
+  // last exhaustive-store footprint
+  Gauge store_exhaustive_bytes{this, "store_exhaustive_bytes"};
+  // last bitstate bit-field size
+  Gauge store_bitstate_bytes{this, "store_bitstate_bytes"};
+  // JSONL span bytes emitted (monotonic)
+  Counter trace_buffer_bytes{this, "trace_buffer_bytes"};
+  // in-memory result-cache footprint
+  Gauge cache_resident_bytes{this, "cache_resident_bytes"};
+  Gauge peak_rss_bytes{this, "peak_rss_bytes"};  // process peak RSS, monotonic
 };
 
 // ---- Histograms --------------------------------------------------------------
@@ -272,6 +386,12 @@ class Histogram {
   /// last bucket): 8 exact + 8 per msb position 3..61.
   static constexpr std::size_t kBuckets = kSubBuckets * 60;
 
+  Histogram() = default;
+  /// A registered histogram, listed under `group` as `name`.
+  Histogram(HistogramGroup* group, const char* name) {
+    group->Register(name, this);
+  }
+
   void Record(std::uint64_t value);
 
   /// Index of the bucket holding `value`, and the bucket's inclusive
@@ -295,46 +415,46 @@ class Histogram {
 /// Search-layer distributions: how long one related-set group takes to
 /// check end to end (cache hits included — that is the latency a caller
 /// observes) and the search throughput each computed group achieved.
-struct SearchHistograms {
-  Histogram group_check_duration_us;
-  Histogram group_states_per_second;
+struct SearchHistograms : HistogramGroup {
+  Histogram group_check_duration_us{this, "group_check_duration_us"};
+  Histogram group_states_per_second{this, "group_states_per_second"};
 };
 
 /// Cache lookup latency, split by outcome so a disk-heavy cache cannot
 /// hide behind fast memory hits.
-struct CacheHistograms {
-  Histogram lookup_hit_duration_us;
-  Histogram lookup_miss_duration_us;
+struct CacheHistograms : HistogramGroup {
+  Histogram lookup_hit_duration_us{this, "lookup_hit_duration_us"};
+  Histogram lookup_miss_duration_us{this, "lookup_miss_duration_us"};
 };
 
-/// Thread-pool distributions, fed through util::SetPoolTimingHooks (the
+/// Thread-pool distributions, fed through util::SetPoolHooks (the
 /// pool itself stays below telemetry): per-task run time and how long an
 /// idle worker waited before it obtained its next task.
-struct ParallelHistograms {
-  Histogram task_run_duration_us;
-  Histogram steal_wait_duration_us;
+struct ParallelHistograms : HistogramGroup {
+  Histogram task_run_duration_us{this, "task_run_duration_us"};
+  Histogram steal_wait_duration_us{this, "steal_wait_duration_us"};
 };
 
 /// Verification-service distributions: request handling latency, how
 /// long an accepted connection sat in the queue before a session thread
 /// picked it up, and request body sizes.
-struct ServerHistograms {
-  Histogram request_duration_us;
-  Histogram queue_wait_us;
-  Histogram request_body_bytes;
+struct ServerHistograms : HistogramGroup {
+  Histogram request_duration_us{this, "request_duration_us"};
+  Histogram queue_wait_us{this, "queue_wait_us"};
+  Histogram request_body_bytes{this, "request_body_bytes"};
 };
 
 /// Fleet-registry distributions: wall-clock latency of a full check vs.
 /// a delta re-check (the bench_fleet_delta headline split).
-struct FleetRegistryHistograms {
-  Histogram full_check_duration_us;
-  Histogram delta_check_duration_us;
+struct FleetRegistryHistograms : HistogramGroup {
+  Histogram full_check_duration_us{this, "full_check_duration_us"};
+  Histogram delta_check_duration_us{this, "delta_check_duration_us"};
 };
 
 /// Cluster distributions: end-to-end latency of one dispatched work
 /// unit (HTTP round trip included — the coordinator's cost per unit).
-struct ClusterHistograms {
-  Histogram dispatch_latency_us;
+struct ClusterHistograms : HistogramGroup {
+  Histogram dispatch_latency_us{this, "dispatch_latency_us"};
 };
 
 /// One named histogram in a Registry snapshot ("server.request_duration_us").
@@ -344,25 +464,31 @@ struct HistogramSample {
 };
 
 class Registry {
- public:
-  SearchCounters search;
-  PipelineCounters pipeline;
-  StoreGauges store;
-  PorCounters por;
-  CompressCounters compress;
-  ParallelCounters parallel;
-  CacheCounters cache;
-  ServerCounters server;
-  FleetRegistryCounters registry;
-  ClusterCounters cluster;
-  MemoryGauges memory;
+  // Declared first: each group below (an aggregate whose first element
+  // is its MetricGroup base) appends itself as it is built, so the
+  // lists keep declaration order.
+  std::vector<CounterGroup*> counter_groups_;
+  std::vector<HistogramGroup*> histogram_groups_;
 
-  SearchHistograms search_hist;
-  CacheHistograms cache_hist;
-  ParallelHistograms parallel_hist;
-  ServerHistograms server_hist;
-  FleetRegistryHistograms registry_hist;
-  ClusterHistograms cluster_hist;
+ public:
+  SearchCounters search{{counter_groups_, "search"}};
+  PipelineCounters pipeline{{counter_groups_, "pipeline"}};
+  StoreGauges store{{counter_groups_, "store"}};
+  PorCounters por{{counter_groups_, "por"}};
+  CompressCounters compress{{counter_groups_, "compress"}};
+  ParallelCounters parallel{{counter_groups_, "parallel"}};
+  CacheCounters cache{{counter_groups_, "cache"}};
+  ServerCounters server{{counter_groups_, "server"}};
+  FleetRegistryCounters registry{{counter_groups_, "registry"}};
+  ClusterCounters cluster{{counter_groups_, "cluster"}};
+  MemoryGauges memory{{counter_groups_, "memory"}};
+
+  SearchHistograms search_hist{{histogram_groups_, "search"}};
+  CacheHistograms cache_hist{{histogram_groups_, "cache"}};
+  ParallelHistograms parallel_hist{{histogram_groups_, "parallel"}};
+  ServerHistograms server_hist{{histogram_groups_, "server"}};
+  FleetRegistryHistograms registry_hist{{histogram_groups_, "registry"}};
+  ClusterHistograms cluster_hist{{histogram_groups_, "cluster"}};
 
   /// All counters and gauges as dotted names ("search.states_explored"),
   /// in a stable order, each tagged counter vs. gauge.
@@ -371,9 +497,7 @@ class Registry {
   /// All histograms as dotted names, in a stable order.
   std::vector<HistogramSample> SnapshotHistograms() const;
 
-  /// {"search": {...}, "pipeline": {...}, "store": {...}, "por": {...},
-  ///  "compress": {...}, "parallel": {...}, "cache": {...},
-  ///  "server": {...}, "memory": {...}}.
+  /// One object per counter group: {"search": {...}, "store": {...}, ...}.
   json::Value ToJson() const;
 
   void Reset();

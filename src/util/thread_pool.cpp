@@ -12,8 +12,9 @@ namespace {
 thread_local const ThreadPool* tls_pool = nullptr;
 thread_local unsigned tls_lane = 0;
 
-std::atomic<PoolTimingHook> g_on_task_run{nullptr};
-std::atomic<PoolTimingHook> g_on_steal_wait{nullptr};
+std::atomic<const PoolHooks*> g_hooks{nullptr};
+
+const PoolHooks* Hooks() { return g_hooks.load(std::memory_order_acquire); }
 
 std::uint64_t ElapsedMicros(std::chrono::steady_clock::time_point start) {
   return static_cast<std::uint64_t>(
@@ -22,24 +23,22 @@ std::uint64_t ElapsedMicros(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
-// Executes one task body, timing it when a run hook is installed.
+// Executes one task body, timing it when hooks are installed.
 void RunTimed(const std::function<void()>& task) {
-  const PoolTimingHook hook = g_on_task_run.load(std::memory_order_acquire);
-  if (hook == nullptr) {
+  const PoolHooks* hooks = Hooks();
+  if (hooks == nullptr) {
     task();
     return;
   }
   const auto start = std::chrono::steady_clock::now();
   task();
-  hook(ElapsedMicros(start));
+  hooks->on_task_run(ElapsedMicros(start));
 }
 
 }  // namespace
 
-void SetPoolTimingHooks(PoolTimingHook on_task_run,
-                        PoolTimingHook on_steal_wait) {
-  g_on_task_run.store(on_task_run, std::memory_order_release);
-  g_on_steal_wait.store(on_steal_wait, std::memory_order_release);
+void SetPoolHooks(const PoolHooks* hooks) {
+  g_hooks.store(hooks, std::memory_order_release);
 }
 
 unsigned ResolveJobs(int jobs) {
@@ -60,6 +59,7 @@ ThreadPool::ThreadPool(unsigned jobs) : jobs_(jobs == 0 ? 1 : jobs) {
   for (unsigned i = 1; i < jobs_; ++i) {
     threads_.emplace_back([this, i] { WorkerMain(i); });
   }
+  if (const PoolHooks* hooks = Hooks()) hooks->on_created(jobs_);
 }
 
 ThreadPool::~ThreadPool() {
@@ -69,6 +69,9 @@ ThreadPool::~ThreadPool() {
   }
   wake_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
+  if (const PoolHooks* hooks = Hooks()) {
+    hooks->on_destroyed(tasks_run_.load(), tasks_stolen_.load());
+  }
 }
 
 unsigned ThreadPool::CurrentLane() const {
@@ -126,16 +129,14 @@ void ThreadPool::WorkerMain(unsigned lane) {
     if (std::function<void()> task = TryGet(lane)) {
       if (waiting) {
         waiting = false;
-        if (const PoolTimingHook hook =
-                g_on_steal_wait.load(std::memory_order_acquire)) {
-          hook(ElapsedMicros(wait_start));
+        if (const PoolHooks* hooks = Hooks()) {
+          hooks->on_steal_wait(ElapsedMicros(wait_start));
         }
       }
       RunTimed(task);
       continue;
     }
-    if (!waiting &&
-        g_on_steal_wait.load(std::memory_order_acquire) != nullptr) {
+    if (!waiting && Hooks() != nullptr) {
       waiting = true;
       wait_start = std::chrono::steady_clock::now();
     }

@@ -12,12 +12,13 @@
 //     ordering promises.  Callers that need deterministic output (the
 //     checker does) index their results by task id and merge in task
 //     order after the join.
-//   * Zero dependencies — util sits below telemetry, so the pool exposes
-//     plain Stats that callers feed into telemetry themselves.  Timing
-//     distributions cross the layer boundary the other way: telemetry
-//     installs plain function pointers via SetPoolTimingHooks and the
-//     pool calls them with microsecond durations, never including a
-//     telemetry header.
+//   * Zero dependencies — util sits below telemetry, so everything the
+//     pool reports crosses the layer boundary the other way: telemetry
+//     installs plain function pointers via SetPoolHooks, and every pool
+//     reports its creation, its task timings, and its lifetime Stats at
+//     destruction through them, never including a telemetry header.
+//     Callers therefore only decide whether to borrow a pool or own one;
+//     none of them counts it.
 //
 // Topology: one deque ("lane") per worker plus lane 0 for the owning
 // thread.  An owner pushes and pops its own lane LIFO (good locality for
@@ -41,18 +42,27 @@ namespace iotsan::util {
 /// thread, negative or 1 = serial, otherwise the value itself.
 unsigned ResolveJobs(int jobs);
 
-/// Observer for pool timing distributions, called with a duration in
-/// microseconds.  Must be safe to call from any pool thread.
-using PoolTimingHook = void (*)(std::uint64_t micros);
+/// Process-wide pool observers (telemetry installs them; see the layering
+/// note above).  Every pool reports through all four; each must be safe
+/// to call from any pool thread.
+struct PoolHooks {
+  /// Once per executed task body, with its run time in microseconds.
+  void (*on_task_run)(std::uint64_t micros);
+  /// Once per idle gap a worker spends between failing to get a task and
+  /// obtaining the next one, in microseconds.
+  void (*on_steal_wait)(std::uint64_t micros);
+  /// Once per pool, when its `jobs` lanes are up (jobs - 1 threads).
+  void (*on_created)(unsigned jobs);
+  /// Once per pool, after its workers have joined, with the lifetime
+  /// totals of ThreadPool::stats().
+  void (*on_destroyed)(std::uint64_t tasks_run, std::uint64_t tasks_stolen);
+};
 
-/// Installs process-wide timing hooks: `on_task_run` fires once per
-/// executed task body, `on_steal_wait` once per idle gap a worker spends
-/// between failing to get a task and obtaining the next one.  Either may
-/// be nullptr to disable that measurement.  Hooks are read with acquire
-/// loads on the hot path; install/uninstall only between runs (the same
-/// contract as telemetry::SetActive, which is the expected caller).
-void SetPoolTimingHooks(PoolTimingHook on_task_run,
-                        PoolTimingHook on_steal_wait);
+/// Installs `hooks` (which must outlive every pool that reports through
+/// them), or uninstalls with nullptr.  Read with acquire loads;
+/// install/uninstall only between runs (the same contract as
+/// telemetry::SetActive, which is the expected caller).
+void SetPoolHooks(const PoolHooks* hooks);
 
 class ThreadPool {
  public:

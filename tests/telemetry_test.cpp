@@ -13,6 +13,8 @@
 #include "checker/checker.hpp"
 #include "checker/state_store.hpp"
 #include "config/builder.hpp"
+#include "core/service.hpp"
+#include "corpus/corpus.hpp"
 #include "ir/analyzer.hpp"
 #include "telemetry/prometheus.hpp"
 #include "telemetry/telemetry.hpp"
@@ -637,6 +639,49 @@ TEST(SearchCountersTest, JobsFourCountsLikeSerialWithViolations) {
     EXPECT_EQ(injected[0], injected[1]);
     EXPECT_EQ(dispatches[0], dispatches[1]);
   }
+}
+
+// ---- Pool counters -----------------------------------------------------------
+
+// Every pool counts itself as it is built and torn down, so the pool
+// counters do not depend on which layer owns the pool: a four-lane
+// attribution reports its pool's tasks just like a four-lane check.
+TEST(PoolCountersTest, ParallelAttributionCountsPoolTasks) {
+  config::DeploymentBuilder b("alice's home");
+  b.ContactPhone("555-0100");
+  b.Device("alicePresence", "presenceSensor", {"presence"});
+  b.Device("doorLock", "smartLock", {"mainDoorLock"});
+  b.App("Auto Mode Change")
+      .Devices("people", {"alicePresence"})
+      .Text("homeMode", "Home")
+      .Text("awayMode", "Away");
+  b.App("Unlock Door").Devices("lock1", {"doorLock"});
+
+  core::CheckRequest check;
+  check.deployment = b.Build();
+  check.options.jobs = 4;
+  Registry check_registry;
+  SetActive(&check_registry);
+  core::RunCheck(check);
+  SetActive(nullptr);
+
+  core::AttributeRequest attribute;
+  attribute.app_source = corpus::FindApp("Unlock Door")->source;
+  attribute.deployment = check.deployment;
+  attribute.options.jobs = 4;
+  Registry attribute_registry;
+  SetActive(&attribute_registry);
+  core::RunAttribute(attribute);
+  SetActive(nullptr);
+
+  EXPECT_EQ(check_registry.parallel.pools_created, 1u);
+  EXPECT_EQ(check_registry.parallel.workers_spawned, 3u);
+  EXPECT_GT(check_registry.parallel.tasks_run, 0u);
+  EXPECT_EQ(attribute_registry.parallel.pools_created,
+            check_registry.parallel.pools_created.load());
+  EXPECT_EQ(attribute_registry.parallel.workers_spawned,
+            check_registry.parallel.workers_spawned.load());
+  EXPECT_GT(attribute_registry.parallel.tasks_run, 0u);
 }
 
 }  // namespace

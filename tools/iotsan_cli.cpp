@@ -197,25 +197,6 @@ std::vector<ir::AnalyzedApp> AnalyzeDeploymentApps(
   return apps;
 }
 
-/// The result-affecting request options shared by check and attribute,
-/// copied straight off the parsed flags (src/core/service.hpp mirrors
-/// the flag table).
-core::RequestOptions RequestOptionsFromFlags(const CliFlags& flags) {
-  core::RequestOptions out;
-  out.events = flags.events;
-  out.jobs = flags.jobs;
-  out.failures = flags.failures;
-  out.mono = flags.mono;
-  out.bitstate = flags.bitstate;
-  out.bitstate_bits_pow = flags.bitstate_bits_pow;
-  out.por = flags.por;
-  out.state_compression = flags.state_compression;
-  out.first = flags.first;
-  out.reverify_bitstate = flags.reverify_bitstate;
-  out.allow_discovery = flags.allow_discovery;
-  return out;
-}
-
 /// The execution environment for one CLI run: the optional result cache
 /// and the SIGINT/SIGTERM flag the search polls so an interrupt still
 /// renders partial results, writes artifacts, and flushes the trace.
@@ -338,7 +319,7 @@ int CmdCheck(const std::vector<std::string>& args) {
   core::CheckRequest request;
   request.deployment = std::move(system.deployment);
   request.extra_sources = std::move(system.extra_sources);
-  request.options = RequestOptionsFromFlags(flags);
+  request.options = flags;
   if (!flags.properties_path.empty()) {
     request.extra_properties =
         props::LoadPropertiesJson(ReadFile(flags.properties_path));
@@ -396,7 +377,7 @@ int CmdAttribute(const std::vector<std::string>& args) {
   }
   LoadedSystem system = LoadSystem(positionals[1]);
   request.deployment = std::move(system.deployment);
-  request.options = RequestOptionsFromFlags(flags);
+  request.options = flags;
   CliEnv cli = MakeCliEnv(flags);
 
   TelemetrySession telemetry_session(flags);
@@ -475,7 +456,7 @@ int CmdServe(const std::vector<std::string>& args) {
   std::printf("iotsan serve: listening on http://%s:%d/ "
               "(%d http workers, deadline %ds)\n",
               config.host.c_str(), server.port(), config.http_workers,
-              flags.deadline_seconds);
+              static_cast<int>(flags.deadline_seconds));
   if (config.coordinator) {
     std::printf("iotsan serve: coordinating %zu worker(s): %s\n",
                 config.cluster.workers.size(), flags.workers.c_str());
@@ -832,8 +813,7 @@ int CmdCluster(const std::vector<std::string>& args) {
   core::CheckRequest request;
   request.deployment = std::move(system.deployment);
   request.extra_sources = std::move(system.extra_sources);
-  request.options = RequestOptionsFromFlags(flags);
-  request.options.deadline_seconds = flags.deadline_seconds;
+  request.options = flags;
   if (!flags.properties_path.empty()) {
     request.extra_properties =
         props::LoadPropertiesJson(ReadFile(flags.properties_path));
