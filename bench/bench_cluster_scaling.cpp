@@ -1,6 +1,6 @@
 // Cluster scaling: one coordinator over 1..N local iotsan workers.
 //
-// Measures the distributed-swarm subsystem (src/cluster) on the Table 5
+// Measures the cluster subsystem (src/cluster) on the Table 5
 // violating-pair corpus scaled to many independent related-set groups:
 // wall time, states/s, speedup vs a 1-worker cluster, and the dispatch
 // overhead a 1-worker cluster pays over a plain in-process run (HTTP

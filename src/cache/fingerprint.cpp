@@ -84,18 +84,6 @@ std::string GroupKeyText(const GroupKeyInputs& inputs) {
   check_obj["max_states"] = static_cast<std::int64_t>(check.max_states);
   check_obj["time_budget_seconds"] = check.time_budget_seconds;
   check_obj["reverify_bitstate"] = check.reverify_bitstate;
-  // Cluster sharding options change the result, so they must key the
-  // cache — but only when active, so historical keys stay stable.
-  if (check.branch_modulus > 1) {
-    check_obj["branch_modulus"] =
-        static_cast<std::int64_t>(check.branch_modulus);
-    check_obj["branch_residue"] =
-        static_cast<std::int64_t>(check.branch_residue);
-  }
-  if (check.store == checker::StoreKind::kBitstate &&
-      check.bitstate_seed != 0) {
-    check_obj["bitstate_seed"] = Hex(check.bitstate_seed);
-  }
   doc["check"] = std::move(check_obj);
   const model::ModelOptions& model = *inputs.model;
   json::Object model_obj;

@@ -408,11 +408,9 @@ int ComparePaths(std::size_t a_size, StepA a_step, const std::string& a_detail,
   return a_detail.compare(b_detail);
 }
 
-}  // namespace
-
-// Public (checker.hpp): the cluster coordinator merges branch-shard and
-// swarm-lane results from remote workers through these, so distributed
-// merges canonicalize exactly like the in-process parallel path.
+/// Merges a violation of the same property found elsewhere in the search
+/// into `existing`: occurrences accumulate, charged apps union, and the
+/// canonically smaller counter-example wins.
 void MergeViolationInto(Violation& existing, Violation v) {
   existing.occurrences += v.occurrences;
   for (std::string& app : v.apps) {
@@ -432,6 +430,9 @@ void MergeViolationInto(Violation& existing, Violation v) {
   }
 }
 
+/// Final report canonicalization, applied identically by the serial and
+/// parallel paths: violations ordered by property id, charged apps
+/// ordered lexicographically.
 void CanonicalizeViolations(std::vector<Violation>& violations) {
   for (Violation& v : violations) std::sort(v.apps.begin(), v.apps.end());
   std::sort(violations.begin(), violations.end(),
@@ -439,8 +440,6 @@ void CanonicalizeViolations(std::vector<Violation>& violations) {
               return a.property_id < b.property_id;
             });
 }
-
-namespace {
 
 // ---- Run-finalization helpers (shared by serial and parallel paths) ----------
 
@@ -588,9 +587,7 @@ class Search {
       if (options.store == StoreKind::kExhaustive) {
         owned_store_ = std::make_unique<ExhaustiveStore>();
       } else {
-        owned_store_ = std::make_unique<BitstateStore>(options.bitstate_bits,
-                                                       3,
-                                                       options.bitstate_seed);
+        owned_store_ = std::make_unique<BitstateStore>(options.bitstate_bits);
       }
       store_ = owned_store_.get();
       if (options.state_compression) {
@@ -1327,8 +1324,7 @@ CheckResult RunParallel(const model::SystemModel& model,
     store = std::make_unique<ExhaustiveStore>(
         std::min(64u, pool->jobs() * 8));
   } else {
-    store = std::make_unique<BitstateStore>(options.bitstate_bits, 3,
-                                            options.bitstate_seed);
+    store = std::make_unique<BitstateStore>(options.bitstate_bits);
   }
 
   std::unique_ptr<model::FootprintIndex> footprints;
@@ -1385,19 +1381,6 @@ CheckResult RunParallel(const model::SystemModel& model,
         branches.push_back({event, failure});
       }
     }
-  }
-  if (options.branch_modulus > 1) {
-    // Branch-shard mode (cluster work units): keep only this shard's
-    // residue class.  Enumeration order is deterministic, so shards with
-    // residues 0..modulus-1 partition the branch set exactly.
-    std::vector<RootBranch> mine;
-    for (std::size_t i = 0; i < branches.size(); ++i) {
-      if (i % options.branch_modulus ==
-          options.branch_residue % options.branch_modulus) {
-        mine.push_back(std::move(branches[i]));
-      }
-    }
-    branches = std::move(mine);
   }
   shared.branches_total = branches.size();
 
@@ -1516,12 +1499,8 @@ ReplayResult ReplayPath(const model::SystemModel& model,
 
 CheckResult Checker::Run(const CheckOptions& options) const {
   const unsigned jobs = util::ResolveJobs(options.jobs);
-  // Branch-sharded runs always go through RunParallel — the serial
-  // Search has no notion of skipping root branches — even with jobs==1
-  // (ParallelFor on a 1-lane pool degenerates to a serial loop).
-  CheckResult result = jobs > 1 || options.branch_modulus > 1
-                           ? RunParallel(model_, options, std::max(jobs, 1u))
-                           : Search(model_, options).Run();
+  CheckResult result = jobs > 1 ? RunParallel(model_, options, jobs)
+                               : Search(model_, options).Run();
   if (options.reverify_bitstate && options.store == StoreKind::kBitstate &&
       !result.violations.empty()) {
     // Built-in false-positive filter: every violation found under

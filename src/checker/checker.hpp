@@ -102,18 +102,6 @@ struct CheckOptions {
   /// violation artifact's manifest so traces, access-log lines, and
   /// artifacts join on one key.
   std::string request_id;
-  /// Root-branch sharding for distributed runs (src/cluster): when
-  /// `branch_modulus > 1`, only the root (event × failure) branches with
-  /// `index % branch_modulus == branch_residue` are explored — the
-  /// branch enumeration order is deterministic, so a modulus-complete
-  /// set of shards covers exactly the branches a single run would.
-  /// Each shard owns its own visited-state store, so summed state
-  /// counts can exceed a single run's (shards re-visit states another
-  /// shard pruned); verdicts are unaffected.  0/1 = no sharding.
-  unsigned branch_modulus = 0;
-  unsigned branch_residue = 0;
-  /// Bitstate hash-family seed (swarm lanes): 0 = historical family.
-  std::uint64_t bitstate_seed = 0;
 };
 
 /// One detected property violation with its counter-example.
@@ -228,17 +216,6 @@ class Checker {
  private:
   const model::SystemModel& model_;
 };
-
-/// Merges a violation of the same property found elsewhere in the search
-/// into `existing`: occurrences accumulate, charged apps union, and the
-/// canonically smaller counter-example wins.  Shared by the in-process
-/// parallel merge and the cluster coordinator's shard/lane merges.
-void MergeViolationInto(Violation& existing, Violation v);
-
-/// Final report canonicalization, applied identically by the serial,
-/// parallel, and distributed paths: violations ordered by property id,
-/// charged apps ordered lexicographically.
-void CanonicalizeViolations(std::vector<Violation>& violations);
 
 /// Renders a violation report (description, involved apps, trace).
 std::string FormatViolation(const Violation& violation);

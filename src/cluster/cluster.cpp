@@ -99,7 +99,7 @@ std::vector<WorkerSpec> ParseWorkerList(const std::string& list) {
 // ---- wire format -------------------------------------------------------------
 
 json::Value UnitRequestJson(const core::CheckRequest& request,
-                            const WorkUnit& unit) {
+                            const std::vector<std::size_t>& group_apps) {
   json::Object doc;
   doc["schema"] = "iotsan.request/1";
   doc["deployment"] = config::DeploymentToJson(request.deployment);
@@ -115,93 +115,12 @@ json::Value UnitRequestJson(const core::CheckRequest& request,
   }
   json::Object options = BaseOptionsJson(request.options);
   json::Array group;
-  for (std::size_t index : unit.group_apps) {
+  for (std::size_t index : group_apps) {
     group.push_back(static_cast<std::int64_t>(index));
   }
   options["groupApps"] = std::move(group);
-  if (unit.branch_modulus > 1) {
-    options["branchModulus"] = static_cast<std::int64_t>(unit.branch_modulus);
-    options["branchResidue"] = static_cast<std::int64_t>(unit.branch_residue);
-  }
-  if (unit.bitstate_seed != 0) {
-    options["bitstateSeed"] = static_cast<std::int64_t>(unit.bitstate_seed);
-  }
   doc["options"] = std::move(options);
   return json::Value(std::move(doc));
-}
-
-// ---- planning ----------------------------------------------------------------
-
-std::vector<WorkUnit> PlanUnits(
-    const std::vector<std::vector<std::size_t>>& groups,
-    const ClusterOptions& options, const core::RequestOptions& request) {
-  std::vector<WorkUnit> units;
-  const bool lanes = request.bitstate && options.swarm_lanes > 1;
-  const bool shards = !lanes && options.branch_split > 1;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (lanes) {
-      for (unsigned lane = 0; lane < options.swarm_lanes; ++lane) {
-        WorkUnit unit;
-        unit.kind = UnitKind::kSwarmLane;
-        unit.group_index = g;
-        unit.group_apps = groups[g];
-        // Lane 0 keeps the historical family, so a 1-lane degenerate
-        // plan is byte-identical to a plain bitstate run.
-        unit.bitstate_seed = lane == 0 ? 0 : hash::SplitMix64(lane);
-        units.push_back(std::move(unit));
-      }
-    } else if (shards) {
-      for (unsigned residue = 0; residue < options.branch_split; ++residue) {
-        WorkUnit unit;
-        unit.kind = UnitKind::kBranchShard;
-        unit.group_index = g;
-        unit.group_apps = groups[g];
-        unit.branch_modulus = options.branch_split;
-        unit.branch_residue = residue;
-        units.push_back(std::move(unit));
-      }
-    } else {
-      WorkUnit unit;
-      unit.group_index = g;
-      unit.group_apps = groups[g];
-      units.push_back(std::move(unit));
-    }
-  }
-  return units;
-}
-
-checker::CheckResult MergeShardResults(
-    UnitKind kind, std::vector<checker::CheckResult> results) {
-  if (results.size() == 1) return std::move(results[0]);
-  checker::CheckResult merged;
-  for (checker::CheckResult& shard : results) {
-    core::MergeRunCounters(merged, shard);
-    for (checker::Violation& violation : shard.violations) {
-      checker::Violation* existing = nullptr;
-      for (checker::Violation& have : merged.violations) {
-        if (have.property_id == violation.property_id) {
-          existing = &have;
-          break;
-        }
-      }
-      if (existing == nullptr) {
-        merged.violations.push_back(std::move(violation));
-      } else {
-        checker::MergeViolationInto(*existing, std::move(violation));
-      }
-    }
-  }
-  if (kind == UnitKind::kBranchShard && !merged.depth_histogram.empty()) {
-    // Every shard's RunParallel accounted the shared initial state once;
-    // a single run accounts it exactly once, so drop the duplicates.
-    const std::uint64_t extra =
-        static_cast<std::uint64_t>(results.size()) - 1;
-    merged.states_explored -= std::min(merged.states_explored, extra);
-    merged.depth_histogram[0] -=
-        std::min(merged.depth_histogram[0], extra);
-  }
-  checker::CanonicalizeViolations(merged.violations);
-  return merged;
 }
 
 // ---- coordinator -------------------------------------------------------------
@@ -296,60 +215,49 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
     return finish();
   }
 
-  std::vector<WorkUnit> units =
-      PlanUnits(groups, options_, request.options);
+  // One work unit per related-set group, dispatched by group index.
   if (auto* t = telemetry::Active()) {
-    t->cluster.units_planned += units.size();
+    t->cluster.units_planned += groups.size();
   }
-  out.units_total = units.size();
+  out.units_total = groups.size();
 
-  struct UnitSlot {
-    checker::CheckResult result;
-    bool done = false;
-    int dispatches = 0;
-  };
-  std::vector<UnitSlot> slots(units.size());
-
-  // Shared dispatch state: a queue of unit indices, drained by one
+  // Shared dispatch state: a queue of group indices, drained by one
   // thread per healthy worker.  A worker that exhausts its transport
-  // retries is declared dead; its unit goes back on the queue for a
+  // retries is declared dead; its group goes back on the queue for a
   // survivor (units_redispatched), and its thread exits.  Requests the
   // workers reject as malformed (4xx) poison the whole check — they
   // would fail identically everywhere.
   std::mutex work_mutex;
   std::condition_variable work_cv;
   std::deque<std::size_t> queue;
-  for (std::size_t i = 0; i < units.size(); ++i) queue.push_back(i);
+  for (std::size_t g = 0; g < groups.size(); ++g) queue.push_back(g);
+  std::vector<bool> done(groups.size(), false);
+  std::vector<int> dispatches(groups.size(), 0);
   std::size_t done_count = 0;
   std::size_t inflight = 0;
   std::size_t redispatched = 0;
   std::size_t live_workers = 0;
   std::string fatal_error;
 
-  // Group-completion progress for /v1/status and SSE: emitted once per
-  // group whose units have all finished, with monotonically advancing
-  // groups_done.
-  std::vector<std::size_t> group_pending(groups.size(), 0);
-  for (const WorkUnit& unit : units) ++group_pending[unit.group_index];
-  std::uint64_t groups_done = 0;
+  // Group-completion progress for /v1/status and SSE, with
+  // monotonically advancing groups_done.
   std::uint64_t progress_states = 0;
 
-  auto note_unit_done = [&](std::size_t index,
-                            checker::CheckResult result) {
+  auto note_group_done = [&](std::size_t g, checker::CheckResult result) {
     // Caller holds work_mutex.
-    slots[index].result = std::move(result);
-    slots[index].done = true;
+    runner.Fill(g, std::move(result));
+    done[g] = true;
     ++done_count;
     if (auto* t = telemetry::Active()) ++t->cluster.units_completed;
-    const std::size_t g = units[index].group_index;
-    progress_states += slots[index].result.states_explored;
-    if (--group_pending[g] == 0 && env.on_group_progress) {
+    const checker::CheckResult& filled = runner.Result(g);
+    progress_states += filled.states_explored;
+    if (env.on_group_progress) {
       telemetry::GroupProgress progress;
       progress.groups_total = groups.size();
-      progress.groups_done = ++groups_done;
+      progress.groups_done = done_count;
       progress.states_explored = progress_states;
-      progress.store_memory_bytes = slots[index].result.store_memory_bytes;
-      progress.seconds = slots[index].result.seconds;
+      progress.store_memory_bytes = filled.store_memory_bytes;
+      progress.seconds = filled.seconds;
       env.on_group_progress(progress);
     }
   };
@@ -372,11 +280,11 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
       {
         std::unique_lock<std::mutex> lock(work_mutex);
         work_cv.wait(lock, [&] {
-          return !queue.empty() || done_count == units.size() ||
+          return !queue.empty() || done_count == groups.size() ||
                  !fatal_error.empty() ||
                  (queue.empty() && inflight == 0);
         });
-        if (done_count == units.size() || !fatal_error.empty()) return;
+        if (done_count == groups.size() || !fatal_error.empty()) return;
         if (queue.empty()) return;  // leftovers for local fallback
         if (env.interrupt != nullptr &&
             env.interrupt->load(std::memory_order_relaxed)) {
@@ -385,8 +293,7 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
         index = queue.front();
         queue.pop_front();
         ++inflight;
-        ++slots[index].dispatches;
-        if (slots[index].dispatches > 1) {
+        if (++dispatches[index] > 1) {
           ++redispatched;
           if (auto* t = telemetry::Active()) {
             ++t->cluster.units_redispatched;
@@ -395,7 +302,7 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
       }
 
       const std::string body =
-          UnitRequestJson(request, units[index]).Dump(0);
+          UnitRequestJson(request, groups[index]).Dump(0);
       const Clock::time_point dispatch_start = Clock::now();
       bool ok = false;
       std::string error;
@@ -431,7 +338,7 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
             worker.status.last_latency_ms = latency_ms;
           }
           std::lock_guard<std::mutex> lock(work_mutex);
-          note_unit_done(index, std::move(result));
+          note_group_done(index, std::move(result));
           ok = true;
         } else if (response.status >= 400 && response.status < 500) {
           error = "worker rejected unit: HTTP " +
@@ -483,49 +390,34 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
 
   if (!fatal_error.empty()) throw Error("cluster: " + fatal_error);
 
-  // Units left behind by dead workers (or an empty fleet mid-check):
-  // run them here so no work is ever lost.
+  // Groups left behind by dead workers (or an empty fleet mid-check):
+  // run them here so no work is ever lost.  Not GroupRunner::RunLocal:
+  // its progress counts only the slots still empty, which would move
+  // groups_done backwards after remote completions.
   std::size_t local_units = 0;
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    if (slots[i].done) continue;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (done[g]) continue;
     if (!options_.allow_local_fallback) {
       throw Error("cluster: every worker died and local fallback is "
                   "disabled (" +
-                  std::to_string(units.size() - done_count) +
+                  std::to_string(groups.size() - done_count) +
                   " units stranded)");
     }
     if (local_units++ == 0) {
       std::fprintf(stderr,
                    "cluster: WARNING: running %zu stranded unit(s) "
                    "locally after worker failures\n",
-                   units.size() - done_count);
+                   groups.size() - done_count);
     }
-    core::SanitizerOptions unit_options = check.options;
-    unit_options.check.branch_modulus = units[i].branch_modulus;
-    unit_options.check.branch_residue = units[i].branch_residue;
-    unit_options.check.bitstate_seed = units[i].bitstate_seed;
     checker::CheckResult result = check.sanitizer.CheckGroup(
-        units[i].group_apps, unit_options, unit_options.check);
+        groups[g], check.options, check.options.check);
     if (auto* t = telemetry::Active()) ++t->cluster.units_local;
     std::lock_guard<std::mutex> lock(work_mutex);
-    note_unit_done(i, std::move(result));
+    note_group_done(g, std::move(result));
   }
   out.units_local = local_units;
-  out.units_remote = units.size() - local_units;
+  out.units_remote = groups.size() - local_units;
   out.units_redispatched = redispatched;
-
-  // Fold each group's units into its runner slot; the runner merges in
-  // plan order — byte-identical to the single-node loop.
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    std::vector<checker::CheckResult> parts;
-    UnitKind kind = UnitKind::kGroup;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      if (units[i].group_index != g) continue;
-      kind = units[i].kind;
-      parts.push_back(std::move(slots[i].result));
-    }
-    runner.Fill(g, MergeShardResults(kind, std::move(parts)));
-  }
   return finish();
 }
 

@@ -1,25 +1,18 @@
-// Distributed swarm verification: a cluster coordinator over N iotsan
-// workers (Holzmann swarm over HTTP).
+// Distributed verification: a cluster coordinator over N iotsan
+// workers.
 //
 // The coordinator runs a check through the same core::GroupRunner a
 // single node uses and fills its slots remotely: each planned
-// related-set group becomes one work unit dispatched to a worker's
-// `POST /v1/check` with the `groupApps` option.  Oversized groups can
-// additionally be split along the checker's deterministic root
-// (event × failure) branch enumeration (`branchModulus`/`branchResidue`
-// units), and bitstate searches can fan out as *swarm lanes* — the same
-// group re-run under diverse hash-family seeds so each lane omits
-// different states.
+// related-set group is one work unit, dispatched to a worker's
+// `POST /v1/check` with the `groupApps` option.  A worker searches one
+// large group with its own `--jobs`, so a group is never split further.
 //
-// Determinism: group units are exactly the computations a single node
-// performs, merged in plan order by the runner, so a cluster run's verdicts, violation ordering, and
-// counter-example traces are byte-identical to a single-node run on
-// exhaustive stores — regardless of worker count, dispatch order, or
-// mid-run worker death.  Branch shards and swarm lanes merge through
-// checker::MergeViolationInto / CanonicalizeViolations (the same
-// canonical-min dedup the in-process parallel search uses), which keeps
-// verdicts and traces identical while summed state counters reflect
-// aggregate work (each shard owns a store).
+// Determinism: units are exactly the computations a single node
+// performs, merged in plan order by the runner, so a cluster run's
+// verdicts, violation ordering, counter-example traces and summed
+// counters are byte-identical to a single-node run on exhaustive
+// stores — regardless of worker count, dispatch order, or mid-run
+// worker death.
 //
 // Robustness: workers are probed against /v1/health, every dispatch is
 // bounded by a deadline and retried with jittered exponential backoff,
@@ -34,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "checker/checker.hpp"
 #include "core/service.hpp"
 #include "util/json.hpp"
 
@@ -64,31 +56,9 @@ struct ClusterOptions {
   int backoff_max_ms = 2000;
   /// Jitter PRNG seed (decorrelate retries; tests pin it).
   std::uint64_t jitter_seed = 1;
-  /// Split each group's root branches into this many shard units
-  /// (0/1 = off).  Opt-in: shards own separate stores, so summed state
-  /// counts exceed a single run's; verdicts are unaffected.
-  unsigned branch_split = 0;
-  /// Bitstate swarm lanes per group (0/1 = off): lane i re-runs the
-  /// group with hash seed SplitMix64(i), violations union.
-  unsigned swarm_lanes = 0;
   /// Run remaining units locally when every worker is unreachable
   /// (false = fail the check instead).
   bool allow_local_fallback = true;
-};
-
-enum class UnitKind { kGroup, kBranchShard, kSwarmLane };
-
-/// One schedulable piece of a verification.
-struct WorkUnit {
-  UnitKind kind = UnitKind::kGroup;
-  /// Index of the related-set group in the coordinator's plan (merge
-  /// happens in this order).
-  std::size_t group_index = 0;
-  /// App indices (into deployment.apps) of the group.
-  std::vector<std::size_t> group_apps;
-  unsigned branch_modulus = 0;
-  unsigned branch_residue = 0;
-  std::uint64_t bitstate_seed = 0;
 };
 
 /// Per-worker health and accounting, surfaced as /v1/status rows.
@@ -114,26 +84,11 @@ struct ClusterOutcome {
 
 // ---- wire format (exposed for tests) -----------------------------------------
 
-/// The iotsan.request/1 envelope dispatching `unit` of `request` to a
+/// The iotsan.request/1 envelope dispatching the related-set group
+/// `group_apps` (app indices into deployment.apps) of `request` to a
 /// worker's POST /v1/check.
 json::Value UnitRequestJson(const core::CheckRequest& request,
-                            const WorkUnit& unit);
-
-/// Plans the unit list for `groups` (PlanGroups output, in plan order):
-/// one kGroup unit per group by default; kBranchShard × branch_split
-/// units per group when branch splitting is on; kSwarmLane units when
-/// swarm lanes are on and the request uses a bitstate store.
-std::vector<WorkUnit> PlanUnits(
-    const std::vector<std::vector<std::size_t>>& groups,
-    const ClusterOptions& options, const core::RequestOptions& request);
-
-/// Folds the shard/lane results of ONE group back into a single
-/// CheckResult (counters sum — minus the (n-1) duplicate initial-state
-/// accountings for branch shards — violations dedup canonically).
-/// `results` must be in residue/lane order.  Identity for size 1.
-checker::CheckResult MergeShardResults(UnitKind kind,
-                                       std::vector<checker::CheckResult>
-                                           results);
+                            const std::vector<std::size_t>& group_apps);
 
 // ---- coordinator -------------------------------------------------------------
 

@@ -40,12 +40,6 @@ struct RequestOptions {
   /// exactly this related-set group": indices into deployment.apps, as
   /// planned by the coordinator's PlanGroups.  Served by RunCheckUnit.
   std::vector<std::size_t> group_apps;
-  /// Root-branch shard of the group (0/1 = whole group); see
-  /// checker::CheckOptions::branch_modulus.
-  unsigned branch_modulus = 0;
-  unsigned branch_residue = 0;
-  /// Bitstate swarm-lane hash seed (0 = default family).
-  std::uint64_t bitstate_seed = 0;
 
   bool operator==(const RequestOptions&) const = default;
 };

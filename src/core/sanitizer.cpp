@@ -103,8 +103,12 @@ std::vector<props::Property> CandidateProperties(
   return all_properties;
 }
 
-template <typename Into>
-void MergeRunCounters(Into& into, const checker::CheckResult& run) {
+namespace {
+
+/// Folds one run's search counters into the report: counters and
+/// seconds sum, store diagnostics take the worst run, depth histograms
+/// add element-wise.
+void MergeRunCounters(SanitizerReport& into, const checker::CheckResult& run) {
   into.states_explored += run.states_explored;
   into.states_matched += run.states_matched;
   into.transitions += run.transitions;
@@ -132,9 +136,7 @@ void MergeRunCounters(Into& into, const checker::CheckResult& run) {
   }
 }
 
-template void MergeRunCounters(SanitizerReport&, const checker::CheckResult&);
-template void MergeRunCounters(checker::CheckResult&,
-                               const checker::CheckResult&);
+}  // namespace
 
 void MergeGroupResult(SanitizerReport& report, checker::CheckResult result) {
   MergeRunCounters(report, result);

@@ -102,15 +102,9 @@ model::ModelOptions EffectiveModelOptions(const SanitizerOptions& options);
 std::vector<props::Property> CandidateProperties(
     const SanitizerOptions& options);
 
-/// Folds one run's search counters into `into` — a SanitizerReport, or
-/// a CheckResult gathering one group's shards: counters and seconds sum,
-/// store diagnostics take the worst run, depth histograms add
-/// element-wise.  Violations are left to the caller.
-template <typename Into>
-void MergeRunCounters(Into& into, const checker::CheckResult& run);
-
 /// Folds one related-set group's result into the aggregate report:
-/// MergeRunCounters, then per-set violations append and merged
+/// counters and seconds sum, store diagnostics take the worst run, depth
+/// histograms add element-wise; per-set violations append and merged
 /// violations sum occurrences per property.
 void MergeGroupResult(SanitizerReport& report, checker::CheckResult result);
 

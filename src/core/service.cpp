@@ -42,9 +42,6 @@ void ApplyCommonCheckOptions(checker::CheckOptions& check,
     }
   }
   check.time_budget_seconds = options.deadline_seconds;
-  check.branch_modulus = options.branch_modulus;
-  check.branch_residue = options.branch_residue;
-  check.bitstate_seed = options.bitstate_seed;
   check.interrupt = env.interrupt;
   check.request_id = env.request_id;
   if (env.progress_every > 0) {

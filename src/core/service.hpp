@@ -91,12 +91,12 @@ CheckResponse RunCheck(const CheckRequest& request,
                        const ServiceEnv& env = {});
 
 /// Runs one cluster work unit: checks exactly the related-set group
-/// named by `request.options.group_apps` (optionally one branch shard /
-/// bitstate lane of it) and returns the raw CheckResult.  The
-/// coordinator — which planned the group from the same deployment —
-/// merges unit results through MergeGroupResult/FinalizeReport, so a
-/// sharded run reproduces a single-node report byte for byte.  Throws
-/// iotsan::Error on out-of-range app indices.
+/// named by `request.options.group_apps` and returns the raw
+/// CheckResult.  The coordinator — which planned the group from the
+/// same deployment — merges unit results through
+/// MergeGroupResult/FinalizeReport, so a distributed run reproduces a
+/// single-node report byte for byte.  Throws iotsan::Error on
+/// out-of-range app indices.
 checker::CheckResult RunCheckUnit(const CheckRequest& request,
                                   const ServiceEnv& env = {});
 

@@ -1,7 +1,6 @@
 #include "server/handlers.hpp"
 
 #include <cstdio>
-#include <limits>
 #include <optional>
 #include <string_view>
 
@@ -121,16 +120,6 @@ core::RequestOptions ParseOptions(const json::Value& doc,
         out.group_apps.push_back(static_cast<std::size_t>(
             RequireInt(index, "groupApps[]", 0, 1 << 20)));
       }
-    } else if (key == "branchModulus") {
-      out.branch_modulus = static_cast<unsigned>(
-          RequireInt(value, "branchModulus", 1, 1 << 16));
-    } else if (key == "branchResidue") {
-      out.branch_residue = static_cast<unsigned>(
-          RequireInt(value, "branchResidue", 0, 1 << 16));
-    } else if (key == "bitstateSeed") {
-      out.bitstate_seed = static_cast<std::uint64_t>(
-          RequireInt(value, "bitstateSeed", 0,
-                     std::numeric_limits<long long>::max()));
     } else {
       throw RequestError(400, kErrBadRequest,
                          "unknown option \"" + key + "\"");
@@ -471,8 +460,7 @@ HttpResponse HandleCheck(const HttpRequest& request,
   env.request_id = request_id;
 
   // Cluster work unit (options.groupApps): a coordinator planned this
-  // related-set group — possibly one branch shard or swarm lane of it —
-  // and wants the raw CheckResult back, not a rendered report.  This is
+  // related-set group and wants the raw CheckResult back, not a rendered report.  This is
   // the worker half of the protocol, so it never re-enters the
   // coordinator even when this node is one.
   if (!check.options.group_apps.empty()) {

@@ -1,9 +1,8 @@
 // Cluster coordinator tests (src/cluster): a real 2-worker loopback
 // cluster must produce reports byte-identical to a single-node run —
 // including when a worker fails mid-check and its units are
-// re-dispatched — plus unit tests for the wire format, the work
-// planner, the shard merge, and the HTTP client's backoff/deadline
-// machinery.
+// re-dispatched — plus unit tests for the wire format and the HTTP
+// client's backoff/deadline machinery.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,7 +11,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -410,13 +408,8 @@ TEST(WireTest, UnitRequestCarriesEnvelopeAndUnitOptions) {
   request.options.events = 4;
   request.options.failures = true;
   request.options.deadline_seconds = 30;
-  WorkUnit unit;
-  unit.group_apps = {0, 1};
-  unit.branch_modulus = 4;
-  unit.branch_residue = 2;
-  unit.bitstate_seed = 99;
 
-  const json::Value doc = UnitRequestJson(request, unit);
+  const json::Value doc = UnitRequestJson(request, {0, 1});
   EXPECT_EQ(doc.At("schema").AsString(), "iotsan.request/1");
   EXPECT_TRUE(doc.Has("deployment"));
   const json::Value& options = doc.At("options");
@@ -424,76 +417,8 @@ TEST(WireTest, UnitRequestCarriesEnvelopeAndUnitOptions) {
   EXPECT_TRUE(options.At("failures").AsBool());
   EXPECT_EQ(options.At("deadlineSeconds").AsInt(), 30);
   EXPECT_EQ(options.At("groupApps").AsArray().size(), 2u);
-  EXPECT_EQ(options.At("branchModulus").AsInt(), 4);
-  EXPECT_EQ(options.At("branchResidue").AsInt(), 2);
-  EXPECT_EQ(options.At("bitstateSeed").AsInt(), 99);
   // The worker's own pool must size the search: jobs never forwarded.
   EXPECT_FALSE(options.Has("jobs"));
-}
-
-// ---- planner / shard merge ---------------------------------------------------
-
-TEST(PlanTest, OneGroupUnitPerGroupByDefault) {
-  const std::vector<std::vector<std::size_t>> groups = {{0, 1}, {2}};
-  const std::vector<WorkUnit> units =
-      PlanUnits(groups, ClusterOptions{}, core::RequestOptions{});
-  ASSERT_EQ(units.size(), 2u);
-  EXPECT_EQ(units[0].kind, UnitKind::kGroup);
-  EXPECT_EQ(units[0].group_apps, (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(units[1].group_index, 1u);
-}
-
-TEST(PlanTest, BranchSplitYieldsResidueShards) {
-  ClusterOptions options;
-  options.branch_split = 3;
-  const std::vector<WorkUnit> units =
-      PlanUnits({{0, 1}}, options, core::RequestOptions{});
-  ASSERT_EQ(units.size(), 3u);
-  for (unsigned i = 0; i < 3; ++i) {
-    EXPECT_EQ(units[i].kind, UnitKind::kBranchShard);
-    EXPECT_EQ(units[i].branch_modulus, 3u);
-    EXPECT_EQ(units[i].branch_residue, i);
-  }
-}
-
-TEST(PlanTest, SwarmLanesNeedBitstateAndDiversifySeeds) {
-  ClusterOptions options;
-  options.swarm_lanes = 3;
-  // Without bitstate, lanes are meaningless: plain group units.
-  EXPECT_EQ(PlanUnits({{0}}, options, core::RequestOptions{}).size(), 1u);
-  core::RequestOptions bitstate;
-  bitstate.bitstate = true;
-  const std::vector<WorkUnit> units = PlanUnits({{0}}, options, bitstate);
-  ASSERT_EQ(units.size(), 3u);
-  EXPECT_EQ(units[0].bitstate_seed, 0u);  // lane 0 = historical family
-  EXPECT_NE(units[1].bitstate_seed, 0u);
-  EXPECT_NE(units[1].bitstate_seed, units[2].bitstate_seed);
-}
-
-TEST(MergeTest, BranchShardsDropDuplicateInitialStateAccounting) {
-  checker::CheckResult a;
-  a.states_explored = 5;
-  a.transitions = 4;
-  a.depth_histogram = {1, 4};
-  checker::CheckResult b;
-  b.states_explored = 7;
-  b.transitions = 6;
-  b.depth_histogram = {1, 6};
-  checker::Violation v;
-  v.property_id = "P01";
-  v.occurrences = 2;
-  b.violations.push_back(v);
-
-  const checker::CheckResult merged =
-      MergeShardResults(UnitKind::kBranchShard, {a, b});
-  // Both shards accounted the shared initial state; a single run counts
-  // it once.
-  EXPECT_EQ(merged.states_explored, 11u);
-  EXPECT_EQ(merged.depth_histogram,
-            (std::vector<std::uint64_t>{1, 10}));
-  EXPECT_EQ(merged.transitions, 10u);
-  ASSERT_EQ(merged.violations.size(), 1u);
-  EXPECT_EQ(merged.violations[0].occurrences, 2u);
 }
 
 // ---- end-to-end cluster ------------------------------------------------------
@@ -509,7 +434,7 @@ TEST(ClusterTest, TwoWorkersMatchSingleNodeByteForByte) {
   EXPECT_EQ(Facts(outcome.response), Facts(local));
   EXPECT_EQ(outcome.response.report.related_set_count,
             local.report.related_set_count);
-  // One kGroup unit per related set, all of them dispatched remotely.
+  // One unit per related set, all of them dispatched remotely.
   EXPECT_EQ(outcome.units_total,
             static_cast<std::size_t>(local.report.related_set_count));
   EXPECT_EQ(outcome.units_remote, outcome.units_total);
@@ -529,39 +454,21 @@ TEST(ClusterTest, ParallelRequestStillMatchesSingleNode) {
   EXPECT_EQ(Facts(outcome.response), Facts(local));
 }
 
-TEST(ClusterTest, BranchShardsPreserveVerdicts) {
+TEST(ClusterTest, BitstateRequestMatchesSingleNode) {
+  // Bitstate options travel the wire like any other forwarded option;
+  // a worker's single-lane bitstate search is the single node's search.
   WorkerFleet fleet(2);
-  ClusterOptions options = FastRetryOptions(fleet.Specs());
-  options.branch_split = 3;
-  Coordinator coordinator(std::move(options));
+  Coordinator coordinator(FastRetryOptions(fleet.Specs()));
 
-  const core::CheckRequest request = MakeRequest(/*cold_apps=*/1);
+  core::CheckRequest request = MakeRequest(/*cold_apps=*/2);
+  request.options.bitstate = true;
+  request.options.bitstate_bits_pow = 16;
   const ClusterOutcome outcome = coordinator.Check(request);
   const core::CheckResponse local = core::RunCheck(request);
 
-  // Shards re-explore shared prefixes, so counters — including the
-  // per-violation "seen Nx" occurrence tallies — exceed a single run's;
-  // the verdicts, ordering, and counter-example traces must be
-  // identical.  Scrub the occurrence counts before comparing.
-  const auto scrub = [](std::string text) {
-    for (std::size_t at = text.find("seen "); at != std::string::npos;
-         at = text.find("seen ", at + 1)) {
-      std::size_t digits = at + 5;
-      while (digits < text.size() && std::isdigit(text[digits]) != 0) {
-        text.erase(digits, 1);
-      }
-    }
-    return text;
-  };
-  EXPECT_EQ(outcome.units_total,
-            static_cast<std::size_t>(local.report.related_set_count) * 3);
-  EXPECT_EQ(scrub(core::RenderViolations(outcome.response.report)),
-            scrub(core::RenderViolations(local.report)));
-  EXPECT_EQ(core::RenderResultLine(outcome.response.report),
-            core::RenderResultLine(local.report));
-  EXPECT_EQ(outcome.response.exit_code, local.exit_code);
-  EXPECT_GE(outcome.response.report.states_explored,
-            local.report.states_explored);
+  EXPECT_EQ(Facts(outcome.response), Facts(local));
+  EXPECT_EQ(outcome.units_remote, outcome.units_total);
+  EXPECT_EQ(outcome.units_local, 0u);
 }
 
 TEST(ClusterTest, DeadWorkerUnitsAreRedispatchedToSurvivors) {
@@ -641,11 +548,9 @@ TEST(ClusterTest, WorkerUnitEndpointReturnsRawResult) {
   WorkerFleet fleet(1);
   const WorkerSpec spec = fleet.Specs()[0];
   core::CheckRequest request = MakeRequest(/*cold_apps=*/0);
-  WorkUnit unit;
-  unit.group_apps = {0, 1};
   const util::HttpResponse response =
       util::HttpCall(spec.host, spec.port, "POST", "/v1/check",
-                     UnitRequestJson(request, unit).Dump(0));
+                     UnitRequestJson(request, {0, 1}).Dump(0));
   ASSERT_EQ(response.status, 200);
   const json::Value doc = json::Parse(response.body);
   ASSERT_TRUE(doc.Has("unit"));
@@ -655,11 +560,9 @@ TEST(ClusterTest, WorkerUnitEndpointReturnsRawResult) {
   EXPECT_FALSE(result.violations.empty());
 
   // Out-of-range app indices are a client error, not a crash.
-  WorkUnit bad;
-  bad.group_apps = {99};
   const util::HttpResponse rejected =
       util::HttpCall(spec.host, spec.port, "POST", "/v1/check",
-                     UnitRequestJson(request, bad).Dump(0));
+                     UnitRequestJson(request, {99}).Dump(0));
   EXPECT_EQ(rejected.status, 400);
 }
 

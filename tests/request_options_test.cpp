@@ -128,9 +128,7 @@ TEST(RequestOptionTableTest, UnitRequestReproducesEveryForwardedOption) {
   for (const RequestOptionSpec& row : core::RequestOptionTable()) {
     row.set(request.options, row.integer() ? row.max : 1);
   }
-  cluster::WorkUnit unit;
-  unit.group_apps = {0};
-  const json::Value doc = cluster::UnitRequestJson(request, unit);
+  const json::Value doc = cluster::UnitRequestJson(request, {0});
   const RequestOptions worker =
       server::ParseCheckRequest(doc.Dump(0)).options;
   for (const RequestOptionSpec& row : core::RequestOptionTable()) {

@@ -370,6 +370,20 @@ TEST_F(ServerTest, MalformedBodiesAreStructuredClientErrors) {
   EXPECT_EQ(typo.status, 400);
   EXPECT_EQ(ErrorCode(typo), "bad_request");
 
+  // The retired cluster split keys are plain unknown options now.
+  for (const char* retired : {"branchModulus", "branchResidue",
+                              "bitstateSeed"}) {
+    SCOPED_TRACE(retired);
+    json::Object retired_options;
+    retired_options[retired] = std::int64_t{1};
+    with_options.MutableObject()["options"] = std::move(retired_options);
+    ClientResponse rejected =
+        Fetch(port, "POST", "/v1/check", with_options.Dump(0));
+    ASSERT_TRUE(rejected.complete);
+    EXPECT_EQ(rejected.status, 400);
+    EXPECT_EQ(ErrorCode(rejected), "bad_request");
+  }
+
   ClientResponse not_found = Fetch(port, "GET", "/v1/nope");
   ASSERT_TRUE(not_found.complete);
   EXPECT_EQ(not_found.status, 404);

@@ -445,9 +445,6 @@ int CmdServe(const std::vector<std::string>& args) {
     config.coordinator = true;
     config.cluster.workers = cluster::ParseWorkerList(flags.workers);
     config.cluster.unit_deadline_seconds = flags.unit_deadline_seconds;
-    config.cluster.branch_split =
-        static_cast<unsigned>(flags.branch_split);
-    config.cluster.swarm_lanes = static_cast<unsigned>(flags.swarm_lanes);
     config.cluster.allow_local_fallback = !flags.no_local_fallback;
   }
 
@@ -824,8 +821,6 @@ int CmdCluster(const std::vector<std::string>& args) {
   cluster::ClusterOptions options;
   options.workers = cluster::ParseWorkerList(flags.workers);
   options.unit_deadline_seconds = flags.unit_deadline_seconds;
-  options.branch_split = static_cast<unsigned>(flags.branch_split);
-  options.swarm_lanes = static_cast<unsigned>(flags.swarm_lanes);
   options.allow_local_fallback = !flags.no_local_fallback;
   cluster::Coordinator coordinator(std::move(options));
   cluster::ClusterOutcome outcome = coordinator.Check(request, cli.env);
