@@ -103,43 +103,33 @@ std::vector<props::Property> CandidateProperties(
   return all_properties;
 }
 
-namespace {
-
-/// Folds one run's search counters into the report: counters and
-/// seconds sum, store diagnostics take the worst run, depth histograms
-/// add element-wise.
-void MergeRunCounters(SanitizerReport& into, const checker::CheckResult& run) {
-  into.states_explored += run.states_explored;
-  into.states_matched += run.states_matched;
-  into.transitions += run.transitions;
-  into.cascade_drains += run.cascade_drains;
-  into.seconds += run.seconds;
-  into.completed = into.completed && run.completed;
-  into.store_fill_ratio = std::max(into.store_fill_ratio, run.store_fill_ratio);
-  into.est_omission_probability =
-      std::max(into.est_omission_probability, run.est_omission_probability);
-  into.store_memory_bytes =
-      std::max(into.store_memory_bytes, run.store_memory_bytes);
-  into.store_entries += run.store_entries;
-  into.compress_pool_entries += run.compress_pool_entries;
-  into.compress_pool_bytes =
-      std::max(into.compress_pool_bytes, run.compress_pool_bytes);
-  into.compress_lookups += run.compress_lookups;
-  into.compress_hits += run.compress_hits;
-  into.store_bytes_per_state =
-      std::max(into.store_bytes_per_state, run.store_bytes_per_state);
-  if (into.depth_histogram.size() < run.depth_histogram.size()) {
-    into.depth_histogram.resize(run.depth_histogram.size(), 0);
-  }
-  for (std::size_t i = 0; i < run.depth_histogram.size(); ++i) {
-    into.depth_histogram[i] += run.depth_histogram[i];
-  }
-}
-
-}  // namespace
-
 void MergeGroupResult(SanitizerReport& report, checker::CheckResult result) {
-  MergeRunCounters(report, result);
+  report.states_explored += result.states_explored;
+  report.states_matched += result.states_matched;
+  report.transitions += result.transitions;
+  report.cascade_drains += result.cascade_drains;
+  report.seconds += result.seconds;
+  report.completed = report.completed && result.completed;
+  report.store_fill_ratio =
+      std::max(report.store_fill_ratio, result.store_fill_ratio);
+  report.est_omission_probability = std::max(
+      report.est_omission_probability, result.est_omission_probability);
+  report.store_memory_bytes =
+      std::max(report.store_memory_bytes, result.store_memory_bytes);
+  report.store_entries += result.store_entries;
+  report.compress_pool_entries += result.compress_pool_entries;
+  report.compress_pool_bytes =
+      std::max(report.compress_pool_bytes, result.compress_pool_bytes);
+  report.compress_lookups += result.compress_lookups;
+  report.compress_hits += result.compress_hits;
+  report.store_bytes_per_state =
+      std::max(report.store_bytes_per_state, result.store_bytes_per_state);
+  if (report.depth_histogram.size() < result.depth_histogram.size()) {
+    report.depth_histogram.resize(result.depth_histogram.size(), 0);
+  }
+  for (std::size_t i = 0; i < result.depth_histogram.size(); ++i) {
+    report.depth_histogram[i] += result.depth_histogram[i];
+  }
   for (const checker::Violation& violation : result.violations) {
     report.per_set_violations.push_back(violation);
   }
