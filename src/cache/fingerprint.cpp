@@ -25,6 +25,13 @@ std::string Hex(std::uint64_t value) {
   return buf;
 }
 
+json::Object DigestToJson(const Digest& digest) {
+  json::Object out;
+  out["bytes"] = static_cast<std::int64_t>(digest.bytes);
+  out["fnv"] = Hex(digest.fnv);
+  return out;
+}
+
 }  // namespace
 
 std::string GroupKey::Hex() const { return cache::Hex(digest); }
@@ -43,26 +50,23 @@ std::uint64_t PropertySetFingerprint(
   return stream.digest();
 }
 
-std::string GroupKeyText(const GroupKeyInputs& inputs) {
+bool IsCacheSchema(std::string_view schema) {
+  return schema.starts_with("iotsan.cache/");
+}
+
+Digest DigestOf(std::string_view bytes) {
+  return {static_cast<std::uint64_t>(bytes.size()), hash::Fnv1a64(bytes)};
+}
+
+std::string SharedKeyText(const SharedKeyInputs& inputs) {
   json::Object doc;
-  doc["schema"] = "iotsan.cache/1";
   doc["version"] = inputs.version.empty()
                        ? build::GetBuildInfo().version
                        : inputs.version;
-  // The config slice, verbatim: DeploymentToJson is canonical
-  // (std::map-ordered keys), so identical slices dump identically.
-  doc["deployment"] = config::DeploymentToJson(*inputs.deployment);
-  // App sources fold to length+FNV fingerprints — the Translator's
-  // input is the source text, so any source edit changes the key.
-  json::Array sources;
-  for (const auto& [app, source] : inputs.sources) {
-    json::Object entry;
-    entry["app"] = app;
-    entry["bytes"] = static_cast<std::int64_t>(source.size());
-    entry["fnv"] = Hex(hash::Fnv1a64(source));
-    sources.push_back(std::move(entry));
-  }
-  doc["sources"] = std::move(sources);
+  // Devices, modes, contact phone and network policy, verbatim:
+  // DeploymentSettingsToJson is canonical (std::map-ordered keys), so
+  // identical settings dump identically.
+  doc["deployment"] = config::DeploymentSettingsToJson(*inputs.deployment);
   json::Object properties;
   properties["count"] =
       static_cast<std::int64_t>(inputs.properties->size());
@@ -91,6 +95,26 @@ std::string GroupKeyText(const GroupKeyInputs& inputs) {
   model_obj["user_mode_events"] = model.user_mode_events;
   model_obj["dynamic_discovery"] = model.dynamic_discovery;
   doc["model"] = std::move(model_obj);
+  return json::Value(std::move(doc)).Dump(0);
+}
+
+std::string GroupKeyText(const GroupKeyInputs& inputs) {
+  json::Object doc;
+  doc["schema"] = kCacheSchema;
+  doc["shared"] = DigestToJson(inputs.request->shared);
+  // The group's slice of the configuration, verbatim.
+  json::Array apps;
+  // App sources fold to length+FNV fingerprints — the Translator's
+  // input is the source text, so any source edit changes the key.
+  json::Array sources;
+  for (const config::AppConfig* app : inputs.apps) {
+    apps.push_back(config::AppConfigToJson(*app));
+    json::Object entry = DigestToJson(inputs.request->sources.at(app->app));
+    entry["app"] = app->app;
+    sources.push_back(std::move(entry));
+  }
+  doc["apps"] = std::move(apps);
+  doc["sources"] = std::move(sources);
   return json::Value(std::move(doc)).Dump(0);
 }
 

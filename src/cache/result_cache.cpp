@@ -304,11 +304,16 @@ EntryState ClassifyEntry(const fs::path& path, const std::string& version) {
   if (text.empty()) return EntryState::kCorrupt;
   try {
     const json::Value doc = json::Parse(text);
-    if (doc.GetString("schema") != kCacheSchema) return EntryState::kCorrupt;
+    const std::string schema = doc.GetString("schema");
+    if (!IsCacheSchema(schema)) return EntryState::kCorrupt;
     if (!doc.Has("key") || !doc.Has("key_text") || !doc.Has("result")) {
       return EntryState::kCorrupt;
     }
-    if (doc.GetString("version") != version) return EntryState::kStale;
+    // An entry of an older key layout, or of another build, can never
+    // match a current key.
+    if (schema != kCacheSchema || doc.GetString("version") != version) {
+      return EntryState::kStale;
+    }
     return EntryState::kCurrent;
   } catch (const Error&) {
     return EntryState::kCorrupt;

@@ -13,7 +13,7 @@
 //     process — attribution probes re-enumerate the same app-alone
 //     groups across configurations, which this layer absorbs;
 //   * an optional disk store (`CacheConfig::dir`): one JSON file per
-//     entry named <digest-hex>.json, schema "iotsan.cache/1", written
+//     entry named <digest-hex>.json, schema kCacheSchema, written
 //     via temp-file + atomic rename.  Corrupt, truncated, stale-version,
 //     or digest-colliding entries are treated as misses, never errors.
 //
@@ -36,9 +36,6 @@
 #include "checker/checker.hpp"
 
 namespace iotsan::cache {
-
-/// Schema identifier embedded in every cache entry.
-inline constexpr const char* kCacheSchema = "iotsan.cache/1";
 
 struct CacheConfig {
   /// Disk store directory; empty = in-memory only.

@@ -410,7 +410,8 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
                    groups.size() - done_count);
     }
     checker::CheckResult result = check.sanitizer.CheckGroup(
-        groups[g], check.options, check.options.check);
+        groups[g], check.options, check.options.check,
+        check.options.cache != nullptr ? &runner.Key(g) : nullptr);
     if (auto* t = telemetry::Active()) ++t->cluster.units_local;
     std::lock_guard<std::mutex> lock(work_mutex);
     note_group_done(g, std::move(result));

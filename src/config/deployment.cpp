@@ -136,7 +136,29 @@ Deployment ParseDeploymentText(std::string_view text) {
   return ParseDeployment(json::Parse(text));
 }
 
-json::Value DeploymentToJson(const Deployment& deployment) {
+json::Value AppConfigToJson(const AppConfig& app_config) {
+  json::Object app;
+  app["app"] = app_config.app;
+  if (app_config.label != app_config.app) app["label"] = app_config.label;
+  json::Object inputs;
+  for (const auto& [name, binding] : app_config.inputs) {
+    if (binding.IsDeviceBinding()) {
+      json::Array ids;
+      for (const std::string& id : binding.device_ids) ids.emplace_back(id);
+      inputs[name] = std::move(ids);
+    } else if (binding.number.has_value()) {
+      inputs[name] = *binding.number;
+    } else if (binding.text.has_value()) {
+      inputs[name] = *binding.text;
+    } else if (binding.flag.has_value()) {
+      inputs[name] = *binding.flag;
+    }
+  }
+  app["inputs"] = std::move(inputs);
+  return json::Value(std::move(app));
+}
+
+json::Object DeploymentSettingsToJson(const Deployment& deployment) {
   json::Object root;
   root["name"] = deployment.name;
   if (!deployment.contact_phone.empty()) {
@@ -161,29 +183,13 @@ json::Value DeploymentToJson(const Deployment& deployment) {
     devices.emplace_back(std::move(device));
   }
   root["devices"] = std::move(devices);
+  return root;
+}
 
+json::Value DeploymentToJson(const Deployment& deployment) {
+  json::Object root = DeploymentSettingsToJson(deployment);
   json::Array apps;
-  for (const AppConfig& a : deployment.apps) {
-    json::Object app;
-    app["app"] = a.app;
-    if (a.label != a.app) app["label"] = a.label;
-    json::Object inputs;
-    for (const auto& [name, binding] : a.inputs) {
-      if (binding.IsDeviceBinding()) {
-        json::Array ids;
-        for (const std::string& id : binding.device_ids) ids.emplace_back(id);
-        inputs[name] = std::move(ids);
-      } else if (binding.number.has_value()) {
-        inputs[name] = *binding.number;
-      } else if (binding.text.has_value()) {
-        inputs[name] = *binding.text;
-      } else if (binding.flag.has_value()) {
-        inputs[name] = *binding.flag;
-      }
-    }
-    app["inputs"] = std::move(inputs);
-    apps.emplace_back(std::move(app));
-  }
+  for (const AppConfig& a : deployment.apps) apps.push_back(AppConfigToJson(a));
   root["apps"] = std::move(apps);
   return json::Value(std::move(root));
 }

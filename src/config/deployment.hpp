@@ -92,6 +92,13 @@ Deployment ParseDeploymentText(std::string_view text);
 /// when suggesting safe configurations).
 json::Value DeploymentToJson(const Deployment& deployment);
 
+/// DeploymentToJson without "apps": the name, devices, modes, contact
+/// phone and network policy that every installed app instance shares.
+json::Object DeploymentSettingsToJson(const Deployment& deployment);
+
+/// One element of DeploymentToJson's "apps" array.
+json::Value AppConfigToJson(const AppConfig& app);
+
 /// Stable 64-bit fingerprint of a deployment configuration (FNV-1a over
 /// its canonical JSON form).  Embedded in violation-artifact manifests so
 /// a replay against a different configuration is detected up-front.

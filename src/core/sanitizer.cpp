@@ -174,9 +174,9 @@ std::vector<std::vector<std::size_t>> Sanitizer::PlanGroups(
     // Dependency analysis over accepted instances only.
     std::vector<ir::AnalyzedApp> view;
     for (std::size_t i : accepted) view.push_back(std::move(analyzed[i]));
-    report.scale = deps::ComputeScaleStats(view);
-    deps::DependencyGraph graph = deps::DependencyGraph::Build(view);
-    std::vector<deps::RelatedSet> sets = deps::ComputeRelatedSets(graph);
+    const std::vector<deps::RelatedSet> sets =
+        deps::ComputeRelatedSets(deps::DependencyGraph::Build(view));
+    report.scale = deps::ComputeScaleStats(view, sets);
     report.related_set_count = static_cast<int>(sets.size());
     deps_span.Attr("related_sets",
                    static_cast<std::int64_t>(sets.size()));
@@ -210,24 +210,44 @@ config::Deployment Sanitizer::SubDeployment(
   return sub;
 }
 
-cache::GroupKey Sanitizer::GroupKeyFor(const std::vector<std::size_t>& group,
-                                       const SanitizerOptions& options,
-                                       const std::string& version) const {
+cache::RequestKeyPart Sanitizer::RequestKeyPartFor(
+    const std::vector<std::vector<std::size_t>>& groups,
+    const SanitizerOptions& options, const std::string& version) const {
   const model::ModelOptions model_options = EffectiveModelOptions(options);
   const std::vector<props::Property> all_properties =
       CandidateProperties(options);
-  const config::Deployment sub = SubDeployment(group);
-  cache::GroupKeyInputs inputs;
-  inputs.deployment = &sub;
-  for (std::size_t i : group) {
-    inputs.sources.emplace_back(deployment_.apps[i].app,
-                                SourceFor(deployment_.apps[i].app));
-  }
+  cache::SharedKeyInputs inputs;
+  inputs.deployment = &deployment_;
   inputs.properties = &all_properties;
   inputs.check = &options.check;
   inputs.model = &model_options;
   inputs.version = version;
+  cache::RequestKeyPart part;
+  part.shared = cache::DigestOf(cache::SharedKeyText(inputs));
+  // Many instances share one definition: hash each source once.
+  for (const std::vector<std::size_t>& group : groups) {
+    for (std::size_t i : group) {
+      const std::string& app = deployment_.apps[i].app;
+      if (part.sources.count(app) == 0) {
+        part.sources.emplace(app, cache::DigestOf(SourceFor(app)));
+      }
+    }
+  }
+  return part;
+}
+
+cache::GroupKey Sanitizer::GroupKeyFor(const std::vector<std::size_t>& group,
+                                       const cache::RequestKeyPart& part) const {
+  cache::GroupKeyInputs inputs;
+  inputs.request = &part;
+  for (std::size_t i : group) inputs.apps.push_back(&deployment_.apps[i]);
   return cache::MakeGroupKey(inputs);
+}
+
+cache::GroupKey Sanitizer::GroupKeyFor(const std::vector<std::size_t>& group,
+                                       const SanitizerOptions& options,
+                                       const std::string& version) const {
+  return GroupKeyFor(group, RequestKeyPartFor({group}, options, version));
 }
 
 checker::CheckResult Sanitizer::CheckGroup(
@@ -300,10 +320,12 @@ GroupRunner::GroupRunner(const Sanitizer& sanitizer,
 }
 
 const cache::GroupKey& GroupRunner::Key(std::size_t g) {
+  std::call_once(key_part_once_, [this] {
+    key_part_ =
+        sanitizer_.RequestKeyPartFor(groups_, options_, key_version_);
+  });
   Slot& slot = slots_[g];
-  if (!slot.key) {
-    slot.key = sanitizer_.GroupKeyFor(groups_[g], options_, key_version_);
-  }
+  if (!slot.key) slot.key = sanitizer_.GroupKeyFor(groups_[g], key_part_);
   return *slot.key;
 }
 

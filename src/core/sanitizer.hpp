@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -135,9 +136,22 @@ class Sanitizer {
 
   /// The content-addressed fingerprint of one group under `options` —
   /// the exact key the result cache memoizes the group's result under.
+  /// Digests the request-wide inputs for this one key; GroupRunner::Key
+  /// returns the same key at O(group) cost.
   cache::GroupKey GroupKeyFor(const std::vector<std::size_t>& group,
                               const SanitizerOptions& options,
                               const std::string& version) const;
+
+  /// The request-wide half of the keys of `groups` under `options`
+  /// (docs/caching.md): the shared digest, computed once, plus one
+  /// source digest per app definition the groups install.
+  cache::RequestKeyPart RequestKeyPartFor(
+      const std::vector<std::vector<std::size_t>>& groups,
+      const SanitizerOptions& options, const std::string& version) const;
+
+  /// One group's key from a RequestKeyPartFor that covers the group.
+  cache::GroupKey GroupKeyFor(const std::vector<std::size_t>& group,
+                              const cache::RequestKeyPart& part) const;
 
   /// Builds, property-selects, and checks one related-set group,
   /// consulting `options.cache` when set.  `check` is `options.check`,
@@ -157,7 +171,7 @@ class Sanitizer {
 
   std::string SourceFor(const std::string& app_name) const;
   /// All devices plus only `group`'s app instances: the configuration
-  /// a group is checked (and fingerprinted) under.
+  /// a group is checked under.
   config::Deployment SubDeployment(const std::vector<std::size_t>& group) const;
   std::vector<ir::AnalyzedApp> AnalyzeInstalledApps(
       SanitizerReport& report, std::vector<bool>& rejected,
@@ -168,6 +182,8 @@ class Sanitizer {
 ///   1. plan: PlanGroups once, one empty result slot per group;
 ///   2. keys: a group's GroupKey is computed on first Key() call, so
 ///      only checks with a cache or a prior record fingerprint at all;
+///      the request-wide half of the keys is digested once, on the
+///      first Key() call of any group, so each key costs O(group);
 ///   3. fill: callers Fill slots from elsewhere (a prior registry
 ///      record, remote workers), then RunLocal computes the rest;
 ///   4. merge: Merge folds the slots in plan order and finalizes.
@@ -181,7 +197,8 @@ class GroupRunner {
   }
   /// The version keys are minted under: the cache's, else the build's.
   const std::string& key_version() const { return key_version_; }
-  /// Group `g`'s fingerprint, computed once on first call.
+  /// Group `g`'s fingerprint, computed once on first call.  Calls for
+  /// distinct groups may run concurrently (RunLocal's pool tasks).
   const cache::GroupKey& Key(std::size_t g);
 
   void Fill(std::size_t g, checker::CheckResult result);
@@ -214,6 +231,8 @@ class GroupRunner {
   std::vector<std::vector<std::size_t>> groups_;
   std::vector<Slot> slots_;
   std::string key_version_;
+  std::once_flag key_part_once_;
+  cache::RequestKeyPart key_part_;
 };
 
 }  // namespace iotsan::core

@@ -274,12 +274,17 @@ std::vector<RelatedSet> ComputeRelatedSets(const DependencyGraph& graph) {
 }
 
 ScaleStats ComputeScaleStats(std::span<const ir::AnalyzedApp> apps) {
+  return ComputeScaleStats(
+      apps, ComputeRelatedSets(DependencyGraph::Build(apps)));
+}
+
+ScaleStats ComputeScaleStats(std::span<const ir::AnalyzedApp> apps,
+                             std::span<const RelatedSet> sets) {
   ScaleStats stats;
   for (const ir::AnalyzedApp& app : apps) {
     stats.original_size += static_cast<int>(app.handlers.size());
   }
-  DependencyGraph graph = DependencyGraph::Build(apps);
-  for (const RelatedSet& set : ComputeRelatedSets(graph)) {
+  for (const RelatedSet& set : sets) {
     stats.new_size = std::max(stats.new_size, set.handler_count);
   }
   if (stats.new_size > 0) {

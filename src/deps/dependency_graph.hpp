@@ -79,6 +79,11 @@ struct ScaleStats {
   double ratio = 0;       // original / new
 };
 
+/// Builds the graph and its related sets, then the stats below.
 ScaleStats ComputeScaleStats(std::span<const ir::AnalyzedApp> apps);
+
+/// The stats of `apps` from related sets already computed over them.
+ScaleStats ComputeScaleStats(std::span<const ir::AnalyzedApp> apps,
+                             std::span<const RelatedSet> sets);
 
 }  // namespace iotsan::deps

@@ -110,6 +110,12 @@ CheckRecord CheckRecordFromJson(const json::Value& doc) {
   out.groups_recomputed =
       static_cast<std::uint64_t>(doc.GetNumber("groups_recomputed"));
   for (const json::Value& entry : doc.At("groups").AsArray()) {
+    // A group retained under an older key layout can never match a
+    // current key: drop it, so the group recomputes once.
+    const std::string schema = entry.GetString("schema");
+    if (cache::IsCacheSchema(schema) && schema != cache::kCacheSchema) {
+      continue;
+    }
     CheckRecord::Group group;
     group.key.text = entry.GetString("key_text");
     group.key.digest = hash::Fnv1a64(group.key.text);

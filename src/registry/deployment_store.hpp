@@ -70,7 +70,8 @@ struct CheckRecord {
   };
   /// Retained per-group results in dispatch order.  Only replayable
   /// results are kept (same rule as the result cache), so a missing
-  /// group simply recomputes.
+  /// group simply recomputes.  Groups written under an older key layout
+  /// (cache::kCacheSchema) are dropped on load.
   std::vector<Group> groups;
 };
 

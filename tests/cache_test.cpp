@@ -12,6 +12,7 @@
 #include "cache/result_cache.hpp"
 #include "config/builder.hpp"
 #include "core/sanitizer.hpp"
+#include "props/property.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
@@ -305,6 +306,154 @@ TEST(CacheTest, SourceEditInvalidatesOnlyContainingGroups) {
       << "group {A} is untouched by B's edit";
   EXPECT_EQ(scoped.registry.cache.misses, 1u)
       << "only group {B} re-verifies";
+}
+
+TEST(CacheTest, OldKeyLayoutEntriesMissOnceAndArePruned) {
+  // Entries a build with the iotsan.cache/1 key layout wrote for this
+  // very home and options (tests/fixtures/cache_v1/cache).
+  const std::string dir = FreshDir("upgrade");
+  fs::copy(IOTSAN_CACHE_V1_DIR "/cache", dir, fs::copy_options::recursive);
+  core::Sanitizer sanitizer = TwoGroupSanitizer();
+  core::SanitizerOptions options;
+  options.check.max_events = 2;
+  const core::SanitizerReport cold = sanitizer.Check(options);
+
+  cache::CacheConfig config;
+  config.dir = dir;
+  config.version = "fixture-v";  // the version the fixtures recorded
+  cache::ResultCache cache(config);
+  options.cache = &cache;
+  {
+    ScopedRegistry scoped;
+    const core::SanitizerReport upgraded = sanitizer.Check(options);
+    EXPECT_EQ(scoped.registry.cache.hits, 0u) << "old entries never serve";
+    EXPECT_EQ(scoped.registry.cache.misses, 2u);
+    EXPECT_EQ(scoped.registry.cache.corrupt_entries, 0u);
+    EXPECT_EQ(scoped.registry.cache.stores, 2u);
+    ExpectSameReport(cold, upgraded);
+  }
+  const cache::DirStats stats = cache::ResultCache::Prune(dir, "fixture-v");
+  EXPECT_EQ(stats.entries, 2u);  // the fresh iotsan.cache/2 entries
+  EXPECT_EQ(stats.stale, 2u);    // the old-layout leftovers
+  EXPECT_EQ(stats.corrupt, 0u);
+  EXPECT_EQ(stats.removed, 2u);
+  cache::ResultCache reopened(config);
+  options.cache = &reopened;
+  ScopedRegistry scoped;
+  ExpectSameReport(cold, sanitizer.Check(options));
+  EXPECT_EQ(scoped.registry.cache.hits, 2u) << "the miss happens once";
+}
+
+// ---- Key layout --------------------------------------------------------------
+
+/// The key texts of `deployment`'s groups (sources A and B installed)
+/// under `options`, in plan order.
+std::vector<std::string> KeyTexts(const config::Deployment& deployment,
+                                  const core::SanitizerOptions& options) {
+  core::Sanitizer sanitizer(deployment);
+  sanitizer.AddAppSource("Cache App A", kSourceA);
+  sanitizer.AddAppSource("Cache App B", kSourceB);
+  core::GroupRunner runner(sanitizer, options);
+  std::vector<std::string> texts;
+  for (std::size_t g = 0; g < runner.groups().size(); ++g) {
+    texts.push_back(runner.Key(g).text);
+  }
+  return texts;
+}
+
+TEST(CacheKeyTest, RunnerKeysEqualGroupKeyForByteForByte) {
+  const core::Sanitizer sanitizer = TwoGroupSanitizer();
+  core::SanitizerOptions options;
+  options.check.max_events = 2;
+  options.extra_properties.push_back(props::MakeInvariant(
+      "U1", "User", "light stays off", R"(!(any("light", "switch") == "on"))"));
+  core::GroupRunner runner(sanitizer, options);
+  ASSERT_EQ(runner.groups().size(), 2u);
+  for (std::size_t g = 0; g < runner.groups().size(); ++g) {
+    const cache::GroupKey direct = sanitizer.GroupKeyFor(
+        runner.groups()[g], options, runner.key_version());
+    EXPECT_EQ(runner.Key(g).text, direct.text) << "group " << g;
+    EXPECT_EQ(runner.Key(g).digest, direct.digest) << "group " << g;
+  }
+}
+
+TEST(CacheKeyTest, RequestWideEditsChangeEveryGroupsKey) {
+  const config::Deployment base = TwoGroupSanitizer().deployment();
+  core::SanitizerOptions options;
+  options.check.max_events = 2;
+  const std::vector<std::string> before = KeyTexts(base, options);
+  ASSERT_EQ(before.size(), 2u);
+  auto expect_all_moved = [&](const config::Deployment& deployment,
+                              const core::SanitizerOptions& edited,
+                              const char* what) {
+    const std::vector<std::string> after = KeyTexts(deployment, edited);
+    ASSERT_EQ(after.size(), before.size()) << what;
+    for (std::size_t g = 0; g < before.size(); ++g) {
+      EXPECT_NE(after[g], before[g]) << what << ", group " << g;
+    }
+  };
+
+  config::Deployment d = base;
+  d.devices.push_back({"m3", "motionSensor", {}});
+  expect_all_moved(d, options, "added device");
+  d = base;
+  d.devices[2].roles = {"heaterOutlet"};
+  expect_all_moved(d, options, "changed role");
+  d = base;
+  d.modes.push_back("Vacation");
+  expect_all_moved(d, options, "modes");
+  d = base;
+  d.contact_phone = "555-0100";
+  expect_all_moved(d, options, "contactPhone");
+  d = base;
+  d.allow_network_interfaces = true;
+  expect_all_moved(d, options, "allowNetworkInterfaces");
+
+  core::SanitizerOptions edited = options;
+  edited.extra_properties.push_back(props::MakeInvariant(
+      "U1", "User", "light stays off", R"(!(any("light", "switch") == "on"))"));
+  expect_all_moved(base, edited, "user property");
+  edited = options;
+  edited.check.max_events = 3;
+  expect_all_moved(base, edited, "max_events");
+
+  // The version: a cache minted under another build.
+  cache::ResultCache other_build(cache::CacheConfig{"", 0, "build-B"});
+  edited = options;
+  edited.cache = &other_build;
+  expect_all_moved(base, edited, "version");
+}
+
+TEST(CacheKeyTest, OneAppBindingEditChangesOnlyItsGroupsKey) {
+  const config::Deployment base = TwoGroupSanitizer().deployment();
+  core::SanitizerOptions options;
+  options.check.max_events = 2;
+  const std::vector<std::string> before = KeyTexts(base, options);
+  config::Deployment edited = base;
+  edited.apps[1].inputs["m1"].device_ids = {"m1"};  // app B now watches m1
+  const std::vector<std::string> after = KeyTexts(edited, options);
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after[0], before[0]) << "app A's group is untouched";
+  EXPECT_NE(after[1], before[1]);
+}
+
+TEST(CacheKeyTest, KeyTextDoesNotGrowWithTheDeviceTable) {
+  const config::Deployment base = TwoGroupSanitizer().deployment();
+  core::SanitizerOptions options;
+  options.check.max_events = 2;
+  const std::vector<std::string> small = KeyTexts(base, options);
+  config::Deployment grown = base;
+  for (int i = 0; i < 100; ++i) {
+    grown.devices.push_back(
+        {"spare" + std::to_string(i), "smartSwitch", {"light"}});
+  }
+  const std::vector<std::string> large = KeyTexts(grown, options);
+  ASSERT_EQ(large.size(), small.size());
+  for (std::size_t g = 0; g < small.size(); ++g) {
+    EXPECT_NE(large[g], small[g]);
+    // Only the shared part's byte count gains digits.
+    EXPECT_LE(large[g].size(), small[g].size() + 4) << "group " << g;
+  }
 }
 
 // ---- Store policy and mechanics ----------------------------------------------

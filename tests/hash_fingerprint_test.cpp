@@ -70,18 +70,29 @@ config::Deployment TinyDeployment() {
   return b.Build();
 }
 
-cache::GroupKeyInputs TinyInputs(const config::Deployment& deployment,
-                                 const std::vector<props::Property>& props,
-                                 const checker::CheckOptions& check,
-                                 const model::ModelOptions& model) {
+/// The key of TinyDeployment's one-app group, with `source` standing
+/// in for the app's SmartScript.
+cache::GroupKey TinyKey(const config::Deployment& deployment,
+                        const std::vector<props::Property>& props,
+                        const checker::CheckOptions& check,
+                        const model::ModelOptions& model,
+                        const std::string& version = "test-1",
+                        const std::string& source = "def h(evt) {}") {
+  cache::SharedKeyInputs shared;
+  shared.deployment = &deployment;
+  shared.properties = &props;
+  shared.check = &check;
+  shared.model = &model;
+  shared.version = version;
+  cache::RequestKeyPart part;
+  part.shared = cache::DigestOf(cache::SharedKeyText(shared));
+  part.sources["Brighten My Path"] = cache::DigestOf(source);
   cache::GroupKeyInputs inputs;
-  inputs.deployment = &deployment;
-  inputs.sources.emplace_back("Brighten My Path", "def h(evt) {}");
-  inputs.properties = &props;
-  inputs.check = &check;
-  inputs.model = &model;
-  inputs.version = "test-1";
-  return inputs;
+  inputs.request = &part;
+  for (const config::AppConfig& app : deployment.apps) {
+    inputs.apps.push_back(&app);
+  }
+  return cache::MakeGroupKey(inputs);
 }
 
 TEST(GroupKeyTest, DeterministicAcrossCalls) {
@@ -89,10 +100,8 @@ TEST(GroupKeyTest, DeterministicAcrossCalls) {
   const std::vector<props::Property> props = props::BuiltinProperties();
   const checker::CheckOptions check;
   const model::ModelOptions model;
-  cache::GroupKey a =
-      cache::MakeGroupKey(TinyInputs(deployment, props, check, model));
-  cache::GroupKey b =
-      cache::MakeGroupKey(TinyInputs(deployment, props, check, model));
+  cache::GroupKey a = TinyKey(deployment, props, check, model);
+  cache::GroupKey b = TinyKey(deployment, props, check, model);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.text, b.text);
   EXPECT_EQ(a.Hex().size(), 16u);
@@ -104,10 +113,9 @@ TEST(GroupKeyTest, SourceEditChangesKey) {
   const std::vector<props::Property> props = props::BuiltinProperties();
   const checker::CheckOptions check;
   const model::ModelOptions model;
-  cache::GroupKeyInputs inputs = TinyInputs(deployment, props, check, model);
-  const cache::GroupKey before = cache::MakeGroupKey(inputs);
-  inputs.sources[0].second = "def h(evt) { sw.on() }";
-  const cache::GroupKey after = cache::MakeGroupKey(inputs);
+  const cache::GroupKey before = TinyKey(deployment, props, check, model);
+  const cache::GroupKey after = TinyKey(deployment, props, check, model,
+                                        "test-1", "def h(evt) { sw.on() }");
   EXPECT_NE(before.digest, after.digest);
 }
 
@@ -119,10 +127,8 @@ TEST(GroupKeyTest, JobsDoNotAffectKey) {
   serial.jobs = 1;
   checker::CheckOptions parallel;
   parallel.jobs = 8;
-  const cache::GroupKey a =
-      cache::MakeGroupKey(TinyInputs(deployment, props, serial, model));
-  const cache::GroupKey b =
-      cache::MakeGroupKey(TinyInputs(deployment, props, parallel, model));
+  const cache::GroupKey a = TinyKey(deployment, props, serial, model);
+  const cache::GroupKey b = TinyKey(deployment, props, parallel, model);
   EXPECT_EQ(a.digest, b.digest) << "the key must be --jobs independent";
 }
 
@@ -131,22 +137,18 @@ TEST(GroupKeyTest, CheckOptionsThatMatterChangeKey) {
   const std::vector<props::Property> props = props::BuiltinProperties();
   const model::ModelOptions model;
   checker::CheckOptions base;
-  const cache::GroupKey key_base =
-      cache::MakeGroupKey(TinyInputs(deployment, props, base, model));
+  const cache::GroupKey key_base = TinyKey(deployment, props, base, model);
   checker::CheckOptions deeper = base;
   deeper.max_events = base.max_events + 1;
-  EXPECT_NE(
-      cache::MakeGroupKey(TinyInputs(deployment, props, deeper, model)).digest,
-      key_base.digest);
+  EXPECT_NE(TinyKey(deployment, props, deeper, model).digest,
+            key_base.digest);
   checker::CheckOptions failures = base;
   failures.model_failures = true;
-  EXPECT_NE(cache::MakeGroupKey(TinyInputs(deployment, props, failures, model))
-                .digest,
+  EXPECT_NE(TinyKey(deployment, props, failures, model).digest,
             key_base.digest);
   checker::CheckOptions bitstate = base;
   bitstate.store = checker::StoreKind::kBitstate;
-  EXPECT_NE(cache::MakeGroupKey(TinyInputs(deployment, props, bitstate, model))
-                .digest,
+  EXPECT_NE(TinyKey(deployment, props, bitstate, model).digest,
             key_base.digest);
 }
 
@@ -155,11 +157,39 @@ TEST(GroupKeyTest, VersionChangesKey) {
   const std::vector<props::Property> props = props::BuiltinProperties();
   const checker::CheckOptions check;
   const model::ModelOptions model;
-  cache::GroupKeyInputs inputs = TinyInputs(deployment, props, check, model);
-  const cache::GroupKey v1 = cache::MakeGroupKey(inputs);
-  inputs.version = "test-2";
-  const cache::GroupKey v2 = cache::MakeGroupKey(inputs);
+  const cache::GroupKey v1 = TinyKey(deployment, props, check, model);
+  const cache::GroupKey v2 =
+      TinyKey(deployment, props, check, model, "test-2");
   EXPECT_NE(v1.digest, v2.digest);
+}
+
+TEST(GroupKeyTest, TextCarriesTheSharedPartAsADigest) {
+  const config::Deployment deployment = TinyDeployment();
+  const std::vector<props::Property> props = props::BuiltinProperties();
+  const checker::CheckOptions check;
+  const model::ModelOptions model;
+  const cache::GroupKey key = TinyKey(deployment, props, check, model);
+  cache::SharedKeyInputs shared;
+  shared.deployment = &deployment;
+  shared.properties = &props;
+  shared.check = &check;
+  shared.model = &model;
+  shared.version = "test-1";
+  const std::string shared_text = cache::SharedKeyText(shared);
+  const cache::Digest digest = cache::DigestOf(shared_text);
+  EXPECT_EQ(digest.bytes, shared_text.size());
+  EXPECT_EQ(digest.fnv, hash::Fnv1a64(shared_text));
+  const json::Value doc = json::Parse(key.text);
+  EXPECT_EQ(doc.GetString("schema"), cache::kCacheSchema);
+  EXPECT_EQ(doc.At("shared").GetNumber("bytes"),
+            static_cast<double>(shared_text.size()));
+  EXPECT_EQ(doc.At("shared").GetString("fnv"),
+            (cache::GroupKey{digest.fnv, ""}.Hex()));
+  // The device table is not in the group's key text, only its digest.
+  EXPECT_EQ(key.text.find("motionSensor"), std::string::npos);
+  EXPECT_NE(shared_text.find("motionSensor"), std::string::npos);
+  // The group's own binding is verbatim.
+  EXPECT_NE(key.text.find(R"("motion1":["m1"])"), std::string::npos);
 }
 
 TEST(GroupKeyTest, PropertySetFingerprintTracksContent) {

@@ -246,6 +246,47 @@ TEST_F(RegistryTest, AddedAndRemovedAppsReclassifyGroups) {
   EXPECT_EQ(idle->groups_recomputed, 0u);
 }
 
+TEST_F(RegistryTest, OldKeyLayoutRecordRunsOneFullCheckThenDeltas) {
+  // A registry a build with the iotsan.cache/1 key layout wrote:
+  // revision 1 of FleetDeploymentJson(2, 2, 40), checked, its record
+  // keyed under version "fixture-v" (tests/fixtures/cache_v1/registry).
+  const std::string dir = TempDir("upgrade");
+  std::filesystem::copy(IOTSAN_CACHE_V1_DIR "/registry", dir,
+                        std::filesystem::copy_options::recursive);
+  cache::ResultCache cache(cache::CacheConfig{"", 256, "fixture-v"});
+  core::ServiceEnv env;
+  env.cache = &cache;
+  core::RequestOptions options;
+  options.jobs = 1;
+
+  Fleet fleet(StoreConfig{dir, 64});
+  auto upgraded = fleet.Check("home", std::nullopt, options, env);
+  ASSERT_TRUE(upgraded.has_value());
+  EXPECT_EQ(upgraded->revision, 1u);
+  EXPECT_GE(upgraded->groups_total, 3u);
+  EXPECT_EQ(upgraded->groups_reused, 0u) << "old-layout groups never match";
+  EXPECT_EQ(upgraded->groups_recomputed, upgraded->groups_total);
+  EXPECT_EQ(registry_.registry.corrupt_entries.load(), 0u);
+  EXPECT_EQ(registry_.cache.hits.load(), 0u);
+
+  // The same report a cold full check gives (sharing the cache, so the
+  // per-group seconds replay byte for byte).
+  core::CheckRequest request;
+  request.deployment = config::ParseDeployment(FleetDeploymentJson(2, 2, 40));
+  request.options = options;
+  const core::CheckResponse cold = core::RunCheck(request, env);
+  EXPECT_EQ(upgraded->response.text, cold.text);
+  EXPECT_EQ(upgraded->response.exit_code, cold.exit_code);
+
+  // The rewritten record serves the next one-app edit as a delta.
+  ASSERT_EQ(fleet.Put(MakeStored("home", 2, 35)), 2u);
+  auto delta = fleet.Check("home", std::nullopt, options, env);
+  ASSERT_TRUE(delta.has_value());
+  EXPECT_EQ(delta->groups_total, upgraded->groups_total);
+  EXPECT_EQ(delta->groups_recomputed, 1u);
+  EXPECT_EQ(delta->groups_reused, delta->groups_total - 1);
+}
+
 // ---- revision guard and lifecycle --------------------------------------------
 
 TEST_F(RegistryTest, StaleIfMatchThrowsRevisionConflict) {

@@ -15,6 +15,7 @@
 #include "config/builder.hpp"
 #include "core/service.hpp"
 #include "corpus/corpus.hpp"
+#include "deps/dependency_graph.hpp"
 #include "ir/analyzer.hpp"
 #include "telemetry/prometheus.hpp"
 #include "telemetry/telemetry.hpp"
@@ -682,6 +683,54 @@ TEST(PoolCountersTest, ParallelAttributionCountsPoolTasks) {
   EXPECT_EQ(attribute_registry.parallel.workers_spawned,
             check_registry.parallel.workers_spawned.load());
   EXPECT_GT(attribute_registry.parallel.tasks_run, 0u);
+}
+
+// ---- Pipeline counters -------------------------------------------------------
+
+// A check builds the dependency graph and its related sets once: the
+// pipeline counters read the report's related-set count and one graph's
+// edges.
+TEST(PipelineCountersTest, OneCheckBuildsTheDependencyGraphOnce) {
+  config::DeploymentBuilder b("alice's home");
+  b.Device("alicePresence", "presenceSensor", {"presence"});
+  b.Device("doorLock", "smartLock", {"mainDoorLock"});
+  b.App("Auto Mode Change")
+      .Devices("people", {"alicePresence"})
+      .Text("homeMode", "Home")
+      .Text("awayMode", "Away");
+  b.App("Unlock Door").Devices("lock1", {"doorLock"});
+  for (const std::string n : {"0", "1"}) {
+    b.Device("temp" + n, "motionTempSensor");
+    b.Device("heater" + n, "smartSwitch");
+    b.App("It's Too Cold")
+        .Devices("temperatureSensor1", {"temp" + n})
+        .Number("temperature1", 40)
+        .Devices("switch1", {"heater" + n});
+  }
+  core::CheckRequest check;
+  check.deployment = b.Build();
+  check.options.jobs = 1;
+  check.options.events = 2;
+  Registry registry;
+  SetActive(&registry);
+  const core::CheckResponse response = core::RunCheck(check);
+  SetActive(nullptr);
+  EXPECT_GE(response.report.related_set_count, 3);
+  EXPECT_EQ(registry.pipeline.related_sets,
+            static_cast<std::uint64_t>(response.report.related_set_count));
+
+  std::vector<ir::AnalyzedApp> apps;
+  for (const config::AppConfig& app : check.deployment.apps) {
+    apps.push_back(
+        ir::AnalyzeSource(corpus::FindApp(app.app)->source, app.app));
+  }
+  Registry graph_registry;
+  SetActive(&graph_registry);
+  deps::DependencyGraph::Build(apps);
+  SetActive(nullptr);
+  EXPECT_GT(graph_registry.pipeline.dependency_edges, 0u);
+  EXPECT_EQ(registry.pipeline.dependency_edges,
+            graph_registry.pipeline.dependency_edges.load());
 }
 
 }  // namespace
