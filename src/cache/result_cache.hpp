@@ -51,7 +51,7 @@ struct CacheConfig {
 struct DirStats {
   std::uint64_t entries = 0;  // readable entries with the current schema
   std::uint64_t bytes = 0;    // total size of all entry files
-  std::uint64_t stale = 0;    // entries recorded by another version
+  std::uint64_t stale = 0;    // another version's or key layout's entries
   std::uint64_t corrupt = 0;  // unreadable / wrong-schema entries
   std::uint64_t removed = 0;  // files deleted (prune/clear)
 };
@@ -97,7 +97,7 @@ class ResultCache {
 
   /// Scans `dir` without modifying it.
   static DirStats Scan(const std::string& dir, const std::string& version);
-  /// Deletes corrupt and stale-version entries; keeps current ones.
+  /// Deletes corrupt and stale entries; keeps current ones.
   static DirStats Prune(const std::string& dir, const std::string& version);
   /// Deletes every cache entry file in `dir`.
   static DirStats Clear(const std::string& dir);
