@@ -31,32 +31,6 @@ const Violation* CheckResult::Find(const std::string& property_id) const {
   return nullptr;
 }
 
-telemetry::ProgressSnapshot CheckResult::Progress() const {
-  telemetry::ProgressSnapshot snapshot;
-  snapshot.jobs = jobs;
-  snapshot.branches_total = parallel_branches;
-  snapshot.branches_done = parallel_branches;
-  snapshot.worker_states_explored = worker_states_explored;
-  snapshot.states_explored = states_explored;
-  snapshot.states_matched = states_matched;
-  snapshot.transitions = transitions;
-  snapshot.cascade_drains = cascade_drains;
-  snapshot.elapsed_seconds = seconds;
-  snapshot.states_per_second =
-      seconds > 0 ? static_cast<double>(states_explored) / seconds : 0;
-  const double considered =
-      static_cast<double>(states_explored + states_matched);
-  snapshot.pruning_ratio =
-      considered > 0 ? static_cast<double>(states_matched) / considered : 0;
-  snapshot.store_fill_ratio = store_fill_ratio;
-  snapshot.depth_histogram = depth_histogram;
-  if (auto* t = telemetry::Active()) {
-    snapshot.cache_hits = t->cache.hits;
-    snapshot.cache_misses = t->cache.misses;
-  }
-  return snapshot;
-}
-
 std::string_view PropertyKindName(props::PropertyKind kind) {
   switch (kind) {
     case props::PropertyKind::kInvariant: return "invariant";
@@ -208,15 +182,6 @@ CheckResult CheckResultFromJson(const json::Value& doc) {
 
 namespace {
 
-/// Copies the run-so-far analysis-cache tallies into a progress
-/// snapshot (both 0 when telemetry or the cache is off).
-void FillCacheProgress(telemetry::ProgressSnapshot& snapshot) {
-  if (auto* t = telemetry::Active()) {
-    snapshot.cache_hits = t->cache.hits;
-    snapshot.cache_misses = t->cache.misses;
-  }
-}
-
 using Clock = std::chrono::steady_clock;
 
 // The once-per-run latch for the bitstate saturation warning: re-armed
@@ -242,6 +207,11 @@ std::vector<GuideStep> ResolveSteps(const model::SystemModel& model,
                                     const std::vector<TraceStep>& steps) {
   std::vector<GuideStep> guide;
   for (const TraceStep& step : steps) {
+    if (step.outcome_index < 0) {
+      throw Error("replay: step " + std::to_string(guide.size() + 1) +
+                  " has negative outcome_index " +
+                  std::to_string(step.outcome_index));
+    }
     GuideStep g;
     g.outcome_index = step.outcome_index;
     g.failure.sensor_offline = step.sensor_offline;
@@ -310,14 +280,17 @@ std::vector<GuideStep> ResolveSteps(const model::SystemModel& model,
 // ---- Canonical counter-example selection -------------------------------------
 //
 // A property can fire on many edges of the search.  Which edge a DFS
-// reaches first depends on exploration order, and under parallel search
+// reaches first depends on exploration order, and with a pool
 // exploration order depends on scheduling — so "first found" would make
-// reports vary run to run.  Instead every path (serial and parallel)
-// keeps the *minimal* counter-example: fewest external events, ties
-// broken by the identifying event coordinates.  Only the coordinates
-// that determine the re-execution (kind/device/attribute/value/app,
-// failure flags, interleaving index) participate: they fix the entire
-// step content, so comparing the rest would be redundant.
+// reports vary run to run.  Instead the search keeps the *minimal*
+// counter-example it explored: fewest external events, ties broken by
+// the identifying event coordinates.  Only the coordinates that
+// determine the re-execution (kind/device/attribute/value/app, failure
+// flags, interleaving index) participate: they fix the entire step
+// content, so comparing the rest would be redundant.  The store still
+// keeps only the first path to reach each state, and with a pool that
+// is a race, so the trace (and the apps charged along it) can differ
+// between lane counts.
 
 /// The coordinates that order counter-example steps, by stable names.
 /// Views point into the step or the model, which outlive the identity.
@@ -430,9 +403,8 @@ void MergeViolationInto(Violation& existing, Violation v) {
   }
 }
 
-/// Final report canonicalization, applied identically by the serial and
-/// parallel paths: violations ordered by property id, charged apps
-/// ordered lexicographically.
+/// Final report canonicalization: violations ordered by property id,
+/// charged apps ordered lexicographically.
 void CanonicalizeViolations(std::vector<Violation>& violations) {
   for (Violation& v : violations) std::sort(v.apps.begin(), v.apps.end());
   std::sort(violations.begin(), violations.end(),
@@ -441,7 +413,7 @@ void CanonicalizeViolations(std::vector<Violation>& violations) {
             });
 }
 
-// ---- Run-finalization helpers (shared by serial and parallel paths) ----------
+// ---- Run-finalization helpers ------------------------------------------------
 
 void NoteStoreDiagnostics(CheckResult& result, const StateStore& store,
                           const CollapseCodec* codec) {
@@ -522,24 +494,69 @@ void TickFinishTelemetry(const CheckResult& result,
   telemetry::SamplePeakRss(*t);
 }
 
-// ---- Shared state of a parallel search ---------------------------------------
+// ---- The run context ---------------------------------------------------------
 
-/// Crossbar between the branch workers of one parallel run: the shared
-/// visited-state store, global budget/stop flags, and the live totals
-/// that budgets and progress reports read.  Everything per-branch (path
-/// context, violations, exact counters) stays worker-local in each
-/// branch's CheckResult and is merged deterministically afterwards.
-struct SharedSearch {
-  SharedSearch(std::size_t depth_levels, unsigned lanes)
-      : depth_histogram(depth_levels), worker_states(lanes) {}
+/// Rebuilds `key` with `state`'s store key: COLLAPSE-encoded when a codec
+/// is given, the plain serialization otherwise.  The depth byte, when
+/// enabled, is appended by the caller.
+void EncodeStateKey(const CollapseCodec* codec,
+                    const model::SystemState& state,
+                    std::vector<std::uint8_t>& key,
+                    std::vector<std::uint8_t>& scratch) {
+  key.clear();
+  if (codec != nullptr) {
+    codec->Encode(state, key, scratch);
+  } else {
+    state.SerializeTo(key);
+  }
+}
 
-  StateStore* store = nullptr;
-  util::ThreadPool* pool = nullptr;
-  /// Shared POR oracle / COLLAPSE codec (null when the feature is off);
-  /// both are thread-safe, so every branch worker uses the same instance.
-  const model::FootprintIndex* footprints = nullptr;
-  CollapseCodec* codec = nullptr;
-  Clock::time_point start;
+/// Shards per store and intern pool: one for a single lane; with a pool,
+/// ~8 per lane keeps two workers off the same mutex without ballooning
+/// fixed per-shard overhead.
+unsigned ShardCount(const util::ThreadPool* pool) {
+  return pool != nullptr ? std::min(64u, pool->jobs() * 8) : 1;
+}
+
+std::unique_ptr<StateStore> MakeStore(const CheckOptions& options,
+                                      unsigned shards) {
+  if (options.store == StoreKind::kBitstate) {
+    return std::make_unique<BitstateStore>(options.bitstate_bits);
+  }
+  return std::make_unique<ExhaustiveStore>(shards);
+}
+
+/// What every branch of one search shares: the visited-state store, the
+/// COLLAPSE codec and POR oracle (thread-safe; null when off), the stop
+/// flag the budgets raise, and the live totals that budgets, progress
+/// reports and the final result read.  Path context and violations stay
+/// in each Search.  `pool` is null for a one-lane run, whose branches
+/// run inline on one Search.
+struct RunContext {
+  RunContext(const model::SystemModel& model, const CheckOptions& options,
+             util::ThreadPool* pool)
+      : options(options),
+        pool(pool),
+        store(MakeStore(options, ShardCount(pool))),
+        footprints(options.por &&
+                           options.scheduling ==
+                               model::Scheduling::kConcurrent
+                       ? std::make_unique<model::FootprintIndex>(model)
+                       : nullptr),
+        codec(options.state_compression
+                  ? std::make_unique<CollapseCodec>(model, ShardCount(pool))
+                  : nullptr),
+        depth_histogram(
+            static_cast<std::size_t>(std::max(options.max_events, 0)) + 1),
+        worker_states(pool != nullptr ? pool->jobs() : 1) {}
+
+  const CheckOptions& options;
+  util::ThreadPool* const pool;
+  const std::unique_ptr<StateStore> store;
+  // POR applies only under concurrent scheduling (sequential scheduling
+  // has one dispatch order: nothing to reduce).
+  const std::unique_ptr<const model::FootprintIndex> footprints;
+  const std::unique_ptr<const CollapseCodec> codec;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> states_explored{0};
   std::atomic<std::uint64_t> states_matched{0};
@@ -551,6 +568,91 @@ struct SharedSearch {
   std::atomic<std::uint64_t> branches_done{0};
   // Serializes on_progress invocations (the callback is user code).
   std::mutex progress_mutex;
+  // Declared last: the clock starts once the store is allocated.
+  const Clock::time_point start = Clock::now();
+
+  double Elapsed() const {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  }
+
+  /// The calling thread's lane, for per-lane accounting.
+  unsigned Lane() const { return pool != nullptr ? pool->CurrentLane() : 0; }
+
+  /// True when the interrupt flag or a budget says the run must stop.
+  /// Budgets are global: they compare the totals of every lane.
+  bool OverBudget() const {
+    return (options.interrupt != nullptr &&
+            options.interrupt->load(std::memory_order_relaxed)) ||
+           (options.max_states != 0 &&
+            states_explored.load(std::memory_order_relaxed) >=
+                options.max_states) ||
+           (options.time_budget_seconds > 0 &&
+            Elapsed() > options.time_budget_seconds);
+  }
+
+  /// Accounts one expanded state, and reports progress when the total
+  /// crosses the requested cadence.
+  void CountState(int depth, unsigned lane) {
+    depth_histogram[static_cast<std::size_t>(depth)].fetch_add(
+        1, std::memory_order_relaxed);
+    worker_states[lane].fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t total =
+        states_explored.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (options.progress_every != 0 && options.on_progress &&
+        total % options.progress_every == 0) {
+      Report();
+    }
+  }
+
+  /// The one progress snapshot: the live totals, which at the end of the
+  /// run are also the result's.
+  telemetry::ProgressSnapshot Snapshot() const {
+    telemetry::ProgressSnapshot snapshot;
+    snapshot.states_explored = states_explored.load(std::memory_order_relaxed);
+    snapshot.states_matched = states_matched.load(std::memory_order_relaxed);
+    snapshot.transitions = transitions.load(std::memory_order_relaxed);
+    snapshot.cascade_drains = cascade_drains.load(std::memory_order_relaxed);
+    snapshot.elapsed_seconds = Elapsed();
+    snapshot.states_per_second =
+        snapshot.elapsed_seconds > 0
+            ? static_cast<double>(snapshot.states_explored) /
+                  snapshot.elapsed_seconds
+            : 0;
+    const double considered = static_cast<double>(snapshot.states_explored +
+                                                  snapshot.states_matched);
+    snapshot.pruning_ratio =
+        considered > 0
+            ? static_cast<double>(snapshot.states_matched) / considered
+            : 0;
+    snapshot.store_fill_ratio = store->FillRatio();
+    snapshot.depth_histogram.reserve(depth_histogram.size());
+    for (const auto& bucket : depth_histogram) {
+      snapshot.depth_histogram.push_back(
+          bucket.load(std::memory_order_relaxed));
+    }
+    snapshot.branches_total = branches_total;
+    snapshot.branches_done = branches_done.load(std::memory_order_relaxed);
+    if (pool != nullptr) {
+      snapshot.jobs = static_cast<int>(pool->jobs());
+      snapshot.worker_states_explored.reserve(worker_states.size());
+      for (const auto& lane : worker_states) {
+        snapshot.worker_states_explored.push_back(
+            lane.load(std::memory_order_relaxed));
+      }
+    }
+    if (auto* t = telemetry::Active()) {
+      snapshot.cache_hits = t->cache.hits;
+      snapshot.cache_misses = t->cache.misses;
+    }
+    return snapshot;
+  }
+
+  void Report() {
+    const telemetry::ProgressSnapshot snapshot = Snapshot();
+    std::lock_guard<std::mutex> lock(progress_mutex);
+    options.on_progress(snapshot);
+    if (auto* t = telemetry::Active()) ++t->search.progress_reports;
+  }
 };
 
 class Search {
@@ -558,115 +660,56 @@ class Search {
   /// `guide` switches the search into guided-replay mode: the recorded
   /// path is followed step by step (no event enumeration, no store
   /// pruning), re-running the monitors and invariants along the way —
-  /// Spin's guided simulation of a .trail file.  `shared` switches it
-  /// into parallel-worker mode: the store, clock, and budgets come from
-  /// the shared run; drive it with RunBranch instead of Run.
-  Search(const model::SystemModel& model, const CheckOptions& options,
-         const std::vector<GuideStep>* guide = nullptr,
-         SharedSearch* shared = nullptr)
+  /// Spin's guided simulation of a .trail file; drive it with Follow.
+  Search(const model::SystemModel& model, RunContext& run,
+         const std::vector<GuideStep>* guide = nullptr)
       : model_(model),
-        options_(options),
-        owned_footprints_(MakeFootprints(model, options, shared)),
-        footprints_(shared != nullptr ? shared->footprints
-                                      : owned_footprints_.get()),
-        engine_(model, footprints_, /*notes=*/false),
-        noted_engine_(model, footprints_, /*notes=*/true),
+        options_(run.options),
+        run_(run),
+        engine_(model, run.footprints.get(), /*notes=*/false),
+        noted_engine_(model, run.footprints.get(), /*notes=*/true),
         guide_(guide),
-        shared_(shared) {
+        lane_(run.Lane()) {
     for (const props::Property& property : model_.active_properties()) {
       const props::Property*& slot =
           monitors_[static_cast<std::size_t>(property.kind)];
       if (slot == nullptr) slot = &property;
     }
-    if (shared_ != nullptr) {
-      store_ = shared_->store;
-      codec_ = shared_->codec;
-      start_ = shared_->start;
-      lane_ = shared_->pool->CurrentLane();
-    } else {
-      if (options.store == StoreKind::kExhaustive) {
-        owned_store_ = std::make_unique<ExhaustiveStore>();
-      } else {
-        owned_store_ = std::make_unique<BitstateStore>(options.bitstate_bits);
-      }
-      store_ = owned_store_.get();
-      if (options.state_compression) {
-        owned_codec_ = std::make_unique<CollapseCodec>(model);
-        codec_ = owned_codec_.get();
-      }
-    }
-    result_.depth_histogram.assign(
-        static_cast<std::size_t>(std::max(options.max_events, 0)) + 1, 0);
     cancel_ = [this] { return BudgetExceeded(); };
   }
 
-  CheckResult Run() {
-    telemetry::ScopedSpan span(guide_ != nullptr ? "replay" : "check");
-    if (!options_.request_id.empty()) {
-      span.Attr("request_id", options_.request_id);
-    }
-    start_ = Clock::now();
-    model::SystemState initial = model_.MakeInitialState();
-    EncodeStateKey(initial);
-    store_->TestAndInsert(key_scratch_);
-    Explore(initial, 0);
-    result_.seconds =
-        std::chrono::duration<double>(Clock::now() - start_).count();
-    FinishDiagnostics();
-    span.Attr("states", result_.states_explored);
-    span.Attr("transitions", result_.transitions);
-    span.Attr("completed", std::int64_t{result_.completed ? 1 : 0});
-    CanonicalizeViolations(result_.violations);
-    return std::move(result_);
+  /// Explores one root (event × failure) branch of the free search.  The
+  /// initial state is accounted by the driver, so this starts directly
+  /// with the branch's cascade.  Violations accumulate across the
+  /// branches one Search runs.
+  void RunBranch(const model::SystemState& initial,
+                 const model::ExternalEvent& event,
+                 const model::FailureScenario& failure) {
+    if (!BudgetExceeded()) Expand(initial, event, failure, 0);
+    run_.branches_done.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Parallel-worker entry: explores one root (event × failure) branch
-  /// against the shared store.  The initial state is accounted by the
-  /// driver, so this starts directly with the branch's cascade.
-  CheckResult RunBranch(const model::SystemState& initial,
-                        const model::ExternalEvent& event,
-                        const model::FailureScenario& failure) {
-    if (!BudgetExceeded()) {
-      std::vector<model::StepOutcome> outcomes = engine_.Apply(
-          initial, event, failure, options_.scheduling, cancel_);
-      result_.cascade_drains += outcomes.size();
-      shared_->cascade_drains.fetch_add(outcomes.size(),
-                                        std::memory_order_relaxed);
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        if (BudgetExceeded()) break;
-        ProcessOutcome(initial, event, failure, outcomes[i], 0,
-                       static_cast<int>(i));
-      }
-    }
-    shared_->branches_done.fetch_add(1, std::memory_order_relaxed);
-    return std::move(result_);
-  }
+  /// Guided-replay entry: follows the recorded path from `initial`.
+  void Follow(const model::SystemState& initial) { Explore(initial, 0); }
+
+  std::vector<Violation> TakeViolations() { return std::move(violations_); }
 
  private:
   const model::SystemModel& model_;
   const CheckOptions& options_;
-  // Declared before engine_: the engine captures the footprint pointer at
-  // construction (member-init order).
-  std::unique_ptr<model::FootprintIndex> owned_footprints_;
-  const model::FootprintIndex* footprints_ = nullptr;
+  RunContext& run_;
   // engine_ keeps no notes, in the free search and in guided replay;
   // noted_engine_ re-applies the steps of a recorded violation to build
   // its forensics.
   model::CascadeEngine engine_;
   model::CascadeEngine noted_engine_;
   const std::vector<GuideStep>* guide_;
-  SharedSearch* shared_;
-  std::unique_ptr<StateStore> owned_store_;
-  StateStore* store_ = nullptr;  // owned_store_ or the shared run's store
-  std::unique_ptr<CollapseCodec> owned_codec_;
-  const CollapseCodec* codec_ = nullptr;  // null = plain serialization keys
-  // Per-worker scratch buffers: store keys are built in place so the hot
+  // Per-search scratch buffers: store keys are built in place so the hot
   // loop performs no per-state allocations once capacity settles.
   std::vector<std::uint8_t> key_scratch_;
   std::vector<std::uint8_t> component_scratch_;
-  unsigned lane_ = 0;  // pool lane, for per-worker accounting
-  CheckResult result_;
-  Clock::time_point start_;
+  const unsigned lane_;  // pool lane, for per-worker accounting
+  std::vector<Violation> violations_;
   bool stopped_ = false;
   // Handed to the cascade engine so budgets are honored between drains.
   model::CancelFn cancel_;
@@ -700,176 +743,15 @@ class Search {
     return monitors_[static_cast<std::size_t>(kind)];
   }
 
+  /// Once any lane stops (budget, interrupt, first violation), every
+  /// branch winds down.
   bool BudgetExceeded() {
-    if (stopped_) return true;
-    if (options_.interrupt != nullptr &&
-        options_.interrupt->load(std::memory_order_relaxed)) {
-      result_.completed = false;
+    if (!stopped_ &&
+        (run_.stop.load(std::memory_order_relaxed) || run_.OverBudget())) {
       stopped_ = true;
-      if (shared_ != nullptr) {
-        shared_->stop.store(true, std::memory_order_relaxed);
-      }
-      return true;
-    }
-    if (shared_ != nullptr) {
-      // Budgets are global across workers: compare the shared totals and
-      // broadcast the stop so every branch winds down together.
-      if (shared_->stop.load(std::memory_order_relaxed)) {
-        result_.completed = false;
-        stopped_ = true;
-        return true;
-      }
-      if (options_.max_states != 0 &&
-          shared_->states_explored.load(std::memory_order_relaxed) >=
-              options_.max_states) {
-        result_.completed = false;
-        stopped_ = true;
-        shared_->stop.store(true, std::memory_order_relaxed);
-        return true;
-      }
-      if (options_.time_budget_seconds > 0 &&
-          Elapsed() > options_.time_budget_seconds) {
-        result_.completed = false;
-        stopped_ = true;
-        shared_->stop.store(true, std::memory_order_relaxed);
-        return true;
-      }
-      return false;
-    }
-    if (options_.max_states != 0 &&
-        result_.states_explored >= options_.max_states) {
-      result_.completed = false;
-      stopped_ = true;
-    }
-    if (options_.time_budget_seconds > 0) {
-      const double elapsed =
-          std::chrono::duration<double>(Clock::now() - start_).count();
-      if (elapsed > options_.time_budget_seconds) {
-        result_.completed = false;
-        stopped_ = true;
-      }
+      run_.stop.store(true, std::memory_order_relaxed);
     }
     return stopped_;
-  }
-
-  double Elapsed() const {
-    return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  /// The POR oracle is built once per run: serial searches own theirs,
-  /// parallel branch workers share the driver's via SharedSearch.  Null
-  /// when POR is off or scheduling is sequential (one dispatch order —
-  /// nothing to reduce).
-  static std::unique_ptr<model::FootprintIndex> MakeFootprints(
-      const model::SystemModel& model, const CheckOptions& options,
-      const SharedSearch* shared) {
-    if (shared != nullptr) return nullptr;
-    if (!options.por || options.scheduling != model::Scheduling::kConcurrent) {
-      return nullptr;
-    }
-    return std::make_unique<model::FootprintIndex>(model);
-  }
-
-  /// Rebuilds key_scratch_ with `state`'s store key — COLLAPSE-encoded
-  /// when compression is on, the plain serialization otherwise.  The
-  /// depth byte, when enabled, is appended by the caller.
-  void EncodeStateKey(const model::SystemState& state) {
-    key_scratch_.clear();
-    if (codec_ != nullptr) {
-      codec_->Encode(state, key_scratch_, component_scratch_);
-    } else {
-      state.SerializeTo(key_scratch_);
-    }
-  }
-
-  telemetry::ProgressSnapshot ProgressNow() const {
-    telemetry::ProgressSnapshot snapshot;
-    snapshot.states_explored = result_.states_explored;
-    snapshot.states_matched = result_.states_matched;
-    snapshot.transitions = result_.transitions;
-    snapshot.cascade_drains = result_.cascade_drains;
-    snapshot.elapsed_seconds = Elapsed();
-    snapshot.states_per_second =
-        snapshot.elapsed_seconds > 0
-            ? static_cast<double>(result_.states_explored) /
-                  snapshot.elapsed_seconds
-            : 0;
-    const double considered = static_cast<double>(result_.states_explored +
-                                                  result_.states_matched);
-    snapshot.pruning_ratio =
-        considered > 0
-            ? static_cast<double>(result_.states_matched) / considered
-            : 0;
-    snapshot.store_fill_ratio = store_->FillRatio();
-    snapshot.depth_histogram = result_.depth_histogram;
-    FillCacheProgress(snapshot);
-    return snapshot;
-  }
-
-  void EmitProgress() {
-    options_.on_progress(ProgressNow());
-    if (auto* t = telemetry::Active()) ++t->search.progress_reports;
-  }
-
-  /// Progress snapshot of a parallel run, built from the shared totals.
-  /// Called by whichever worker's increment crossed the progress_every
-  /// boundary, under the shared progress mutex.
-  void EmitSharedProgress() {
-    telemetry::ProgressSnapshot snapshot;
-    snapshot.jobs = static_cast<int>(shared_->pool->jobs());
-    snapshot.branches_total = shared_->branches_total;
-    snapshot.branches_done =
-        shared_->branches_done.load(std::memory_order_relaxed);
-    snapshot.states_explored =
-        shared_->states_explored.load(std::memory_order_relaxed);
-    snapshot.states_matched =
-        shared_->states_matched.load(std::memory_order_relaxed);
-    snapshot.transitions =
-        shared_->transitions.load(std::memory_order_relaxed);
-    snapshot.cascade_drains =
-        shared_->cascade_drains.load(std::memory_order_relaxed);
-    snapshot.elapsed_seconds = Elapsed();
-    snapshot.states_per_second =
-        snapshot.elapsed_seconds > 0
-            ? static_cast<double>(snapshot.states_explored) /
-                  snapshot.elapsed_seconds
-            : 0;
-    const double considered = static_cast<double>(snapshot.states_explored +
-                                                  snapshot.states_matched);
-    snapshot.pruning_ratio =
-        considered > 0
-            ? static_cast<double>(snapshot.states_matched) / considered
-            : 0;
-    snapshot.store_fill_ratio = store_->FillRatio();
-    snapshot.depth_histogram.reserve(shared_->depth_histogram.size());
-    for (const auto& bucket : shared_->depth_histogram) {
-      snapshot.depth_histogram.push_back(
-          bucket.load(std::memory_order_relaxed));
-    }
-    snapshot.worker_states_explored.reserve(shared_->worker_states.size());
-    for (const auto& lane : shared_->worker_states) {
-      snapshot.worker_states_explored.push_back(
-          lane.load(std::memory_order_relaxed));
-    }
-    FillCacheProgress(snapshot);
-    std::lock_guard<std::mutex> lock(shared_->progress_mutex);
-    options_.on_progress(snapshot);
-    if (auto* t = telemetry::Active()) ++t->search.progress_reports;
-  }
-
-  void FinishDiagnostics() {
-    NoteStoreDiagnostics(result_, *store_, codec_);
-    if (guide_ != nullptr) {
-      // Guided replays neither saturate the store (exhaustive, short
-      // path) nor count as checks: their telemetry is the replay
-      // counters the caller ticks.
-      return;
-    }
-    WarnIfSaturated(result_, options_);
-    // The final snapshot at stop time: budget-stopped runs still report
-    // where the search stood.
-    if (!result_.completed && options_.on_progress) EmitProgress();
-    TickFinishTelemetry(result_, options_);
   }
 
   /// Builds the structured record of one external-event step: the event
@@ -972,7 +854,7 @@ class Search {
                              const std::string& failure_label,
                              const std::string& detail,
                              const std::set<int>& charged_apps) {
-    for (Violation& existing : result_.violations) {
+    for (Violation& existing : violations_) {
       if (existing.property_id == property.id) {
         ++existing.occurrences;
         // Accumulate every charged app across re-violations —
@@ -1012,15 +894,13 @@ class Search {
     }
     violation.failure = failure_label;
     violation.depth = depth;
-    result_.violations.push_back(std::move(violation));
+    violations_.push_back(std::move(violation));
     if (options_.stop_at_first_violation) {
+      // The search was cut short on purpose: the run is incomplete.
       stopped_ = true;
-      result_.completed = false;  // the search was cut short on purpose
-      if (shared_ != nullptr) {
-        shared_->stop.store(true, std::memory_order_relaxed);
-      }
+      run_.stop.store(true, std::memory_order_relaxed);
     }
-    return &result_.violations.back();
+    return &violations_.back();
   }
 
   /// Apps responsible for an invariant violation: those that actuated a
@@ -1070,7 +950,7 @@ class Search {
     // offending pair in command order) but every offending cascade
     // records — unlike a whole-run short-circuit, this keeps occurrence
     // counts a pure function of the explored-edge set, and therefore
-    // identical across serial and parallel schedules.
+    // identical at every lane count.
     if (const props::Property* monitor =
             Monitor(props::PropertyKind::kNoConflict)) {
       bool recorded = false;
@@ -1187,10 +1067,7 @@ class Search {
                       const model::FailureScenario& failure,
                       const model::StepOutcome& outcome, int depth,
                       int outcome_index) {
-    ++result_.transitions;
-    if (shared_ != nullptr) {
-      shared_->transitions.fetch_add(1, std::memory_order_relaxed);
-    }
+    run_.transitions.fetch_add(1, std::memory_order_relaxed);
 
     const std::size_t actuation_mark = path_actuations_.size();
     const std::size_t mode_mark = path_mode_setters_.size();
@@ -1211,15 +1088,13 @@ class Search {
       // prefix may revisit states the store would prune.
       Explore(outcome.state, depth + 1);
     } else {
-      EncodeStateKey(outcome.state);
+      EncodeStateKey(run_.codec.get(), outcome.state, key_scratch_,
+                     component_scratch_);
       if (options_.include_depth_in_state) {
         key_scratch_.push_back(static_cast<std::uint8_t>(depth + 1));
       }
-      if (store_->TestAndInsert(key_scratch_)) {
-        ++result_.states_matched;
-        if (shared_ != nullptr) {
-          shared_->states_matched.fetch_add(1, std::memory_order_relaxed);
-        }
+      if (run_.store->TestAndInsert(key_scratch_)) {
+        run_.states_matched.fetch_add(1, std::memory_order_relaxed);
       } else {
         Explore(outcome.state, depth + 1);
       }
@@ -1233,35 +1108,21 @@ class Search {
 
   void Explore(const model::SystemState& state, int depth) {
     if (BudgetExceeded()) return;
-    ++result_.states_explored;
-    ++result_.depth_histogram[static_cast<std::size_t>(depth)];
-    if (shared_ != nullptr) {
-      shared_->depth_histogram[static_cast<std::size_t>(depth)].fetch_add(
-          1, std::memory_order_relaxed);
-      shared_->worker_states[lane_].fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t total =
-          shared_->states_explored.fetch_add(1, std::memory_order_relaxed) +
-          1;
-      if (options_.progress_every != 0 && options_.on_progress &&
-          total % options_.progress_every == 0) {
-        EmitSharedProgress();
-      }
-    } else if (options_.progress_every != 0 && options_.on_progress &&
-               result_.states_explored % options_.progress_every == 0) {
-      EmitProgress();
-    }
+    run_.CountState(depth, lane_);
     if (depth >= options_.max_events) return;
 
     if (guide_ != nullptr) {
       const GuideStep& g = (*guide_)[static_cast<std::size_t>(depth)];
       std::vector<model::StepOutcome> outcomes = engine_.Apply(
           state, g.event, g.failure, options_.scheduling, cancel_);
-      result_.cascade_drains += outcomes.size();
-      if (outcomes.empty()) return;
-      const int index = std::min(g.outcome_index,
-                                 static_cast<int>(outcomes.size()) - 1);
-      ProcessOutcome(state, g.event, g.failure,
-                     outcomes[static_cast<std::size_t>(index)], depth, index);
+      run_.cascade_drains.fetch_add(outcomes.size(),
+                                    std::memory_order_relaxed);
+      // A recorded interleaving the model no longer has ends the path
+      // here: the recording is not reproduced.
+      const auto index = static_cast<std::size_t>(g.outcome_index);
+      if (index >= outcomes.size()) return;
+      ProcessOutcome(state, g.event, g.failure, outcomes[index], depth,
+                     g.outcome_index);
       return;
     }
 
@@ -1272,99 +1133,69 @@ class Search {
     for (const model::ExternalEvent& event : engine_.EnabledEvents(state)) {
       for (const model::FailureScenario& failure : scenarios) {
         if (BudgetExceeded()) return;
-        std::vector<model::StepOutcome> outcomes = engine_.Apply(
-            state, event, failure, options_.scheduling, cancel_);
-        result_.cascade_drains += outcomes.size();
-        if (shared_ != nullptr) {
-          shared_->cascade_drains.fetch_add(outcomes.size(),
-                                            std::memory_order_relaxed);
-        }
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-          if (BudgetExceeded()) return;
-          ProcessOutcome(state, event, failure, outcomes[i], depth,
-                         static_cast<int>(i));
-        }
+        Expand(state, event, failure, depth);
       }
+    }
+  }
+
+  /// Applies one (event, failure) at `state` and processes every drained
+  /// outcome, in interleaving order.
+  void Expand(const model::SystemState& state,
+              const model::ExternalEvent& event,
+              const model::FailureScenario& failure, int depth) {
+    std::vector<model::StepOutcome> outcomes =
+        engine_.Apply(state, event, failure, options_.scheduling, cancel_);
+    run_.cascade_drains.fetch_add(outcomes.size(), std::memory_order_relaxed);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      if (BudgetExceeded()) return;
+      ProcessOutcome(state, event, failure, outcomes[i], depth,
+                     static_cast<int>(i));
     }
   }
 };
 
-// ---- Parallel driver ---------------------------------------------------------
+// ---- The search driver -------------------------------------------------------
 //
-// Partitions the root-level (external event × failure scenario) branches
-// of the permutation DFS across a work-stealing pool.  All workers share
-// one visited-state store, so the frontier is pruned globally exactly as
-// in the serial search.  Determinism: with the exhaustive store every
-// reachable (state, depth) pair is inserted exactly once, so the
-// multiset of explored edges — and with it the violation set, occurrence
-// counts, aggregate counters, and depth histogram — is independent of
-// scheduling; per-branch results are merged in branch-enumeration order
-// and violations are canonicalized, making the full report byte-stable
-// for any jobs value.  (Bitstate relaxes this slightly; see
-// docs/performance.md.)
-CheckResult RunParallel(const model::SystemModel& model,
-                        const CheckOptions& options, unsigned jobs) {
+// Every free search runs the same steps: build the run context, account
+// the initial state, enumerate the root-level (external event × failure
+// scenario) branches of the permutation DFS, explore them, and merge
+// their violations in branch-enumeration order.  With one lane the
+// branches run inline, in enumeration order, on one Search; that is the
+// classic DFS.  With a pool each branch is a task, and every task shares
+// the run's visited-state store, so the frontier is pruned globally
+// exactly as with one lane.  With the exhaustive store every reachable
+// (state, depth) pair is inserted exactly once, so the multiset of
+// explored edges (and with it the violation set, occurrence counts,
+// totals and depth histogram) is independent of scheduling.  Which path
+// reaches a state first is not, so the lane count can change a reported
+// counter-example or charged app (docs/performance.md).
+CheckResult RunSearch(const model::SystemModel& model,
+                      const CheckOptions& options) {
   telemetry::ScopedSpan span("check");
   if (!options.request_id.empty()) {
     span.Attr("request_id", options.request_id);
   }
-  const Clock::time_point start = Clock::now();
-
   std::unique_ptr<util::ThreadPool> owned_pool;
-  util::ThreadPool* pool = options.pool;
-  if (pool == nullptr) {
-    owned_pool = std::make_unique<util::ThreadPool>(jobs);
-    pool = owned_pool.get();
+  util::ThreadPool* pool = nullptr;
+  if (const unsigned jobs = util::ResolveJobs(options.jobs); jobs > 1) {
+    pool = options.pool;
+    if (pool == nullptr) {
+      owned_pool = std::make_unique<util::ThreadPool>(jobs);
+      pool = owned_pool.get();
+    }
   }
+  RunContext run(model, options, pool);
 
-  std::unique_ptr<StateStore> store;
-  if (options.store == StoreKind::kExhaustive) {
-    // ~8 shards per lane keeps two workers off the same mutex without
-    // ballooning fixed per-shard overhead.
-    store = std::make_unique<ExhaustiveStore>(
-        std::min(64u, pool->jobs() * 8));
-  } else {
-    store = std::make_unique<BitstateStore>(options.bitstate_bits);
-  }
-
-  std::unique_ptr<model::FootprintIndex> footprints;
-  if (options.por && options.scheduling == model::Scheduling::kConcurrent) {
-    footprints = std::make_unique<model::FootprintIndex>(model);
-  }
-  std::unique_ptr<CollapseCodec> codec;
-  if (options.state_compression) {
-    codec = std::make_unique<CollapseCodec>(model,
-                                            std::min(64u, pool->jobs() * 8));
-  }
-
-  model::SystemState initial = model.MakeInitialState();
+  const model::SystemState initial = model.MakeInitialState();
   {
     std::vector<std::uint8_t> key;
     std::vector<std::uint8_t> scratch;
-    if (codec != nullptr) {
-      codec->Encode(initial, key, scratch);
-    } else {
-      initial.SerializeTo(key);
-    }
-    store->TestAndInsert(key);
+    EncodeStateKey(run.codec.get(), initial, key, scratch);
+    run.store->TestAndInsert(key);
   }
 
-  const std::size_t depth_levels =
-      static_cast<std::size_t>(std::max(options.max_events, 0)) + 1;
-  SharedSearch shared(depth_levels, pool->jobs());
-  shared.store = store.get();
-  shared.pool = pool;
-  shared.footprints = footprints.get();
-  shared.codec = codec.get();
-  shared.start = start;
-  // The initial state is accounted here, not by any branch; it belongs
-  // to the driver's lane so the per-lane counts partition the total.
-  shared.states_explored.store(1);
-  shared.depth_histogram[0].store(1);
-  shared.worker_states[pool->CurrentLane()].store(1);
-
-  // Root branches in deterministic enumeration order — the same order
-  // the serial DFS would visit them, which is also the merge order.
+  // Root branches in deterministic enumeration order, which is also the
+  // merge order.
   struct RootBranch {
     model::ExternalEvent event;
     model::FailureScenario failure;
@@ -1382,31 +1213,30 @@ CheckResult RunParallel(const model::SystemModel& model,
       }
     }
   }
-  shared.branches_total = branches.size();
+  run.branches_total = branches.size();
+  // The initial state is accounted here, not by any branch; it belongs
+  // to the driver's lane so the per-lane counts partition the total.
+  run.CountState(0, run.Lane());
 
-  std::vector<CheckResult> branch_results(branches.size());
-  pool->ParallelFor(branches.size(), [&](std::size_t i) {
-    Search search(model, options, nullptr, &shared);
-    branch_results[i] =
-        search.RunBranch(initial, branches[i].event, branches[i].failure);
-  });
+  std::vector<std::vector<Violation>> found;
+  if (pool == nullptr) {
+    Search search(model, run);
+    for (const RootBranch& branch : branches) {
+      search.RunBranch(initial, branch.event, branch.failure);
+    }
+    found.push_back(search.TakeViolations());
+  } else {
+    found.resize(branches.size());
+    pool->ParallelFor(branches.size(), [&](std::size_t i) {
+      Search search(model, run);
+      search.RunBranch(initial, branches[i].event, branches[i].failure);
+      found[i] = search.TakeViolations();
+    });
+  }
 
   CheckResult result;
-  result.jobs = static_cast<int>(pool->jobs());
-  result.parallel_branches = branches.size();
-  result.depth_histogram.assign(depth_levels, 0);
-  result.states_explored = 1;
-  result.depth_histogram[0] = 1;
-  for (CheckResult& branch : branch_results) {
-    result.states_explored += branch.states_explored;
-    result.states_matched += branch.states_matched;
-    result.transitions += branch.transitions;
-    result.cascade_drains += branch.cascade_drains;
-    result.completed = result.completed && branch.completed;
-    for (std::size_t d = 0; d < branch.depth_histogram.size(); ++d) {
-      result.depth_histogram[d] += branch.depth_histogram[d];
-    }
-    for (Violation& violation : branch.violations) {
+  for (std::vector<Violation>& violations : found) {
+    for (Violation& violation : violations) {
       Violation* existing = nullptr;
       for (Violation& have : result.violations) {
         if (have.property_id == violation.property_id) {
@@ -1421,24 +1251,26 @@ CheckResult RunParallel(const model::SystemModel& model,
       }
     }
   }
-  if (shared.stop.load()) result.completed = false;
   CanonicalizeViolations(result.violations);
 
-  result.seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  NoteStoreDiagnostics(result, *store, codec.get());
+  const telemetry::ProgressSnapshot totals = run.Snapshot();
+  result.states_explored = totals.states_explored;
+  result.states_matched = totals.states_matched;
+  result.transitions = totals.transitions;
+  result.cascade_drains = totals.cascade_drains;
+  result.depth_histogram = totals.depth_histogram;
+  result.completed = !run.stop.load();
+  result.seconds = totals.elapsed_seconds;
+  result.jobs = totals.jobs;
+  result.worker_states_explored = totals.worker_states_explored;
+  if (pool != nullptr) result.parallel_branches = branches.size();
+  NoteStoreDiagnostics(result, *run.store, run.codec.get());
   WarnIfSaturated(result, options);
-  result.worker_states_explored.reserve(shared.worker_states.size());
-  for (const auto& lane : shared.worker_states) {
-    result.worker_states_explored.push_back(lane.load());
-  }
-  // The final snapshot at stop time, exactly like the serial path.
-  if (!result.completed && options.on_progress) {
-    options.on_progress(result.Progress());
-    if (auto* t = telemetry::Active()) ++t->search.progress_reports;
-  }
+  // The final snapshot at stop time: a budget-stopped run still reports
+  // where the search stood.
+  if (!result.completed && options.on_progress) run.Report();
   TickFinishTelemetry(result, options);
-  if (auto* t = telemetry::Active()) {
+  if (auto* t = telemetry::Active(); t != nullptr && pool != nullptr) {
     t->parallel.branch_tasks += branches.size();
   }
   span.Attr("states", result.states_explored);
@@ -1449,8 +1281,9 @@ CheckResult RunParallel(const model::SystemModel& model,
 }
 
 /// Re-executes a recorded path against `model` and reports whether
-/// `property_id` fired at `expected_depth`.  Ticks the replay telemetry
-/// counters.
+/// `property_id` fired at `expected_depth`.  Guided replays neither
+/// count as checks nor saturate a store: their telemetry is the replay
+/// counters ticked here.
 ReplayResult ReplayPath(const model::SystemModel& model,
                         const std::vector<TraceStep>& steps,
                         model::Scheduling scheduling, bool por,
@@ -1462,14 +1295,24 @@ ReplayResult ReplayPath(const model::SystemModel& model,
   // search saw, or the recorded outcome_index points at the wrong drain.
   options.por = por;
   const std::vector<GuideStep> guide = ResolveSteps(model, steps);
-  Search search(model, options, &guide);
-  CheckResult result = search.Run();
+  RunContext run(model, options, /*pool=*/nullptr);
+  Search search(model, run, &guide);
+  {
+    telemetry::ScopedSpan span("replay");
+    search.Follow(model.MakeInitialState());
+    span.Attr("states", run.states_explored.load());
+    span.Attr("transitions", run.transitions.load());
+  }
+  const std::vector<Violation> violations = search.TakeViolations();
 
   ReplayResult out;
   out.property_id = property_id;
   out.expected_step = expected_depth;
-  out.seconds = result.seconds;
-  const Violation* fired = result.Find(property_id);
+  out.seconds = run.Elapsed();
+  const Violation* fired = nullptr;
+  for (const Violation& v : violations) {
+    if (v.property_id == property_id) fired = &v;
+  }
   if (fired != nullptr) out.fired_step = fired->depth;
   out.reproduced = fired != nullptr && fired->depth == expected_depth;
   if (out.reproduced) {
@@ -1498,9 +1341,7 @@ ReplayResult ReplayPath(const model::SystemModel& model,
 }  // namespace
 
 CheckResult Checker::Run(const CheckOptions& options) const {
-  const unsigned jobs = util::ResolveJobs(options.jobs);
-  CheckResult result = jobs > 1 ? RunParallel(model_, options, jobs)
-                               : Search(model_, options).Run();
+  CheckResult result = RunSearch(model_, options);
   if (options.reverify_bitstate && options.store == StoreKind::kBitstate &&
       !result.violations.empty()) {
     // Built-in false-positive filter: every violation found under

@@ -79,16 +79,17 @@ struct CheckOptions {
   /// pools) instead of full state serializations.  Verdict-neutral: the
   /// encoding collides exactly when the full serializations collide.
   bool state_compression = false;
-  /// Worker threads for the search: root-level (event × failure)
-  /// branches are partitioned across workers sharing one visited-state
-  /// store.  1 = serial, 0 = one worker per hardware thread.  Output is
-  /// canonicalized so any jobs value yields byte-identical reports with
-  /// the exhaustive store (see docs/performance.md for the bitstate
-  /// caveat).
+  /// Worker lanes for the search: root-level (event × failure) branches
+  /// are explored as tasks sharing one visited-state store.  1 = one
+  /// lane (the branches run inline, in order), 0 = one lane per hardware
+  /// thread.  With the exhaustive store, verdicts, occurrence counts,
+  /// totals and the depth histogram do not depend on this value; a
+  /// counter-example trace or charged app can (docs/performance.md).
   int jobs = 1;
   /// Run on an existing pool instead of spawning one (the sanitizer and
   /// attribution layers share their pool with nested checks this way).
-  /// Null = the checker creates its own pool when jobs > 1.
+  /// Null = the checker creates its own pool when jobs > 1.  Ignored
+  /// when jobs resolves to 1.
   util::ThreadPool* pool = nullptr;
   /// Optional external interrupt flag (a signal handler, a server
   /// shutting down): polled on the same cancel path as the budgets,
@@ -168,21 +169,17 @@ struct CheckResult {
   double store_bytes_per_state = 0;
   /// States expanded per external-event depth (index 0 = initial state).
   std::vector<std::uint64_t> depth_histogram;
-  /// Worker lanes the search ran on (1 = serial) and how many root
-  /// (event × failure) branches were partitioned across them.
+  /// Worker lanes the search ran on and how many root (event × failure)
+  /// branches ran as pool tasks (0 with one lane, which has no pool).
   int jobs = 1;
   std::uint64_t parallel_branches = 0;
-  /// States expanded per worker lane (empty for serial runs).  The
+  /// States expanded per worker lane (empty with one lane).  The
   /// per-lane split varies with scheduling; only the total is
   /// deterministic.
   std::vector<std::uint64_t> worker_states_explored;
 
   bool HasViolation(const std::string& property_id) const;
   const Violation* Find(const std::string& property_id) const;
-
-  /// The final telemetry snapshot of the run (also what `on_progress`
-  /// received last when a budget stopped the search).
-  telemetry::ProgressSnapshot Progress() const;
 };
 
 /// Outcome of deterministically re-executing a recorded counter-example

@@ -432,6 +432,11 @@ std::vector<std::string> ValidateArtifact(
                          std::to_string(step.sim_time_ms) + ", want " +
                          std::to_string(want_index * 1000));
     }
+    if (step.outcome_index < 0) {
+      problems.push_back("trace step " + std::to_string(want_index) +
+                         " has outcome_index " +
+                         std::to_string(step.outcome_index) + ", want >= 0");
+    }
     if (step.kind != "sensor" && step.kind != "app_touch" &&
         step.kind != "timer" && step.kind != "user_mode") {
       problems.push_back("trace step " + std::to_string(want_index) +

@@ -32,7 +32,7 @@ constexpr FlagSpec kFlagTable[] = {
      "external-event bound per run (Algorithm 1; default 3, attribute: 2)"},
     {"--jobs", "N", kCmdCheck | kCmdAttribute | kCmdServe | kCmdCluster,
      "worker threads for the search (0 = all hardware threads; default 1, "
-     "serve: 0); the report is identical for any N"},
+     "serve: 0); verdicts and totals are identical for any N"},
     {"--failures", nullptr, kCmdCheck | kCmdCluster,
      "enumerate device/communication failure scenarios per event (paper §8)"},
     {"--mono", nullptr, kCmdCheck,
@@ -42,9 +42,6 @@ constexpr FlagSpec kFlagTable[] = {
     {"--bitstate-bits", "P", kCmdCheck | kCmdAttribute | kCmdCluster,
      "BITSTATE bit-field size as a power of two (Spin -w; default 27 = "
      "16 MiB)"},
-    {"--por", nullptr, kCmdCheck | kCmdAttribute | kCmdCluster,
-     "ample-set partial-order reduction: expand a single pending dispatch "
-     "when it provably commutes with the rest (concurrent scheduling only)"},
     {"--state-compression", nullptr, kCmdCheck | kCmdAttribute | kCmdCluster,
      "Spin-style COLLAPSE store keys: intern per-device/app-state/timer "
      "components instead of hashing full state vectors"},

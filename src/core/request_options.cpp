@@ -39,7 +39,6 @@ constexpr RequestOptionSpec kRequestOptionTable[] = {
        o.bitstate = true;
      },
      [](const RequestOptions& o) -> long long { return o.bitstate_bits_pow; }},
-    Switch<&RequestOptions::por>("por", "--por"),
     Switch<&RequestOptions::state_compression>("stateCompression",
                                                "--state-compression"),
     Switch<&RequestOptions::first>("first", "--first"),

@@ -26,8 +26,7 @@ struct RequestOptions {
   bool mono = false;
   bool bitstate = false;
   int bitstate_bits_pow = 0;  // 0 = default (27)
-  bool por = false;               // ample-set partial-order reduction
-  bool state_compression = false; // COLLAPSE store-key compression
+  bool state_compression = false;  // COLLAPSE store-key compression
   bool first = false;
   bool reverify_bitstate = false;
   bool allow_discovery = false;

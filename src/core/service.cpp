@@ -33,7 +33,6 @@ void ApplyCommonCheckOptions(checker::CheckOptions& check,
   check.jobs = options.jobs;
   check.pool = env.pool;
   check.reverify_bitstate = options.reverify_bitstate;
-  check.por = options.por;
   check.state_compression = options.state_compression;
   if (options.bitstate) {
     check.store = checker::StoreKind::kBitstate;

@@ -94,16 +94,15 @@ TEST(CliFlagsTest, MetricsOutAndAccessLogAreCommandGated) {
   EXPECT_THROW(Parse(kCmdCheck, {"--metrics-out"}), Error);
 }
 
-TEST(CliFlagsTest, PorAndStateCompressionAreCheckAndAttributeFlags) {
-  const CliFlags flags =
-      Parse(kCmdCheck, {"--por", "--state-compression"});
-  EXPECT_TRUE(flags.por);
-  EXPECT_TRUE(flags.state_compression);
-  EXPECT_FALSE(Parse(kCmdCheck, {}).por);
+TEST(CliFlagsTest, StateCompressionIsACheckAndAttributeFlag) {
+  EXPECT_TRUE(Parse(kCmdCheck, {"--state-compression"}).state_compression);
   EXPECT_FALSE(Parse(kCmdCheck, {}).state_compression);
-  EXPECT_TRUE(Parse(kCmdAttribute, {"--por"}).por);
-  EXPECT_THROW(Parse(kCmdServe, {"--por"}), Error);
+  EXPECT_TRUE(
+      Parse(kCmdAttribute, {"--state-compression"}).state_compression);
   EXPECT_THROW(Parse(kCmdDeps, {"--state-compression"}), Error);
+  // No front end selects concurrent scheduling, so there is no POR flag.
+  EXPECT_THROW(Parse(kCmdCheck, {"--por"}), Error);
+  EXPECT_THROW(Parse(kCmdAttribute, {"--por"}), Error);
 }
 
 TEST(CliFlagsTest, BitstateBitsImpliesBitstate) {

@@ -26,6 +26,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -370,12 +371,17 @@ TEST_F(ServerTest, MalformedBodiesAreStructuredClientErrors) {
   EXPECT_EQ(typo.status, 400);
   EXPECT_EQ(ErrorCode(typo), "bad_request");
 
-  // The retired cluster split keys are plain unknown options now.
+  // The retired cluster split keys and the POR switch are plain
+  // unknown options now.
   for (const char* retired : {"branchModulus", "branchResidue",
-                              "bitstateSeed"}) {
+                              "bitstateSeed", "por"}) {
     SCOPED_TRACE(retired);
     json::Object retired_options;
-    retired_options[retired] = std::int64_t{1};
+    if (std::string_view(retired) == "por") {
+      retired_options[retired] = true;
+    } else {
+      retired_options[retired] = std::int64_t{1};
+    }
     with_options.MutableObject()["options"] = std::move(retired_options);
     ClientResponse rejected =
         Fetch(port, "POST", "/v1/check", with_options.Dump(0));

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "telemetry/prometheus.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 namespace iotsan::telemetry {
 namespace {
@@ -444,45 +446,56 @@ model::SystemModel UnlockModel() {
   return model::SystemModel(b.Build(), std::move(apps));
 }
 
+// Both tests run at one lane and at four: the cadence counts every
+// expanded state, the initial one included, whatever the lane count.
 TEST(ProgressTest, CallbackFiresAtTheRequestedCadence) {
   model::SystemModel model = UnlockModel();
   checker::Checker checker(model);
-  checker::CheckOptions options;
-  options.max_events = 2;
-  options.progress_every = 1;
-  std::vector<ProgressSnapshot> seen;
-  options.on_progress = [&seen](const ProgressSnapshot& snapshot) {
-    seen.push_back(snapshot);
-  };
-  checker::CheckResult result = checker.Run(options);
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    checker::CheckOptions options;
+    options.max_events = 2;
+    options.progress_every = 1;
+    options.jobs = jobs;
+    std::vector<ProgressSnapshot> seen;
+    options.on_progress = [&seen](const ProgressSnapshot& snapshot) {
+      seen.push_back(snapshot);
+    };
+    checker::CheckResult result = checker.Run(options);
 
-  // Cadence 1 → one report per expanded state.
-  EXPECT_EQ(seen.size(), result.states_explored);
-  ASSERT_FALSE(seen.empty());
-  const ProgressSnapshot& last = seen.back();
-  EXPECT_LE(last.states_explored, result.states_explored);
-  EXPECT_GE(last.elapsed_seconds, 0.0);
-  EXPECT_GE(last.pruning_ratio, 0.0);
-  EXPECT_LE(last.pruning_ratio, 1.0);
-  EXPECT_EQ(last.depth_histogram.size(), result.depth_histogram.size());
+    // Cadence 1 → one report per expanded state.
+    EXPECT_EQ(seen.size(), result.states_explored);
+    ASSERT_FALSE(seen.empty());
+    const ProgressSnapshot& last = seen.back();
+    EXPECT_LE(last.states_explored, result.states_explored);
+    EXPECT_GE(last.elapsed_seconds, 0.0);
+    EXPECT_GE(last.pruning_ratio, 0.0);
+    EXPECT_LE(last.pruning_ratio, 1.0);
+    EXPECT_EQ(last.depth_histogram.size(), result.depth_histogram.size());
+    EXPECT_EQ(last.jobs, jobs);
+  }
 }
 
 TEST(ProgressTest, BudgetStopDeliversFinalSnapshot) {
   model::SystemModel model = UnlockModel();
   checker::Checker checker(model);
-  checker::CheckOptions options;
-  options.max_events = 3;
-  options.max_states = 2;  // force an early stop
-  std::vector<ProgressSnapshot> seen;
-  options.on_progress = [&seen](const ProgressSnapshot& snapshot) {
-    seen.push_back(snapshot);
-  };
-  checker::CheckResult result = checker.Run(options);
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    checker::CheckOptions options;
+    options.max_events = 3;
+    options.max_states = 2;  // force an early stop
+    options.jobs = jobs;
+    std::vector<ProgressSnapshot> seen;
+    options.on_progress = [&seen](const ProgressSnapshot& snapshot) {
+      seen.push_back(snapshot);
+    };
+    checker::CheckResult result = checker.Run(options);
 
-  EXPECT_FALSE(result.completed);
-  // progress_every stayed 0, so the only report is the stop-time one.
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen.back().states_explored, result.states_explored);
+    EXPECT_FALSE(result.completed);
+    // progress_every stayed 0, so the only report is the stop-time one.
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen.back().states_explored, result.states_explored);
+  }
 }
 
 // Golden renderings: the progress line is part of the operator-facing
@@ -683,6 +696,37 @@ TEST(PoolCountersTest, ParallelAttributionCountsPoolTasks) {
   EXPECT_EQ(attribute_registry.parallel.workers_spawned,
             check_registry.parallel.workers_spawned.load());
   EXPECT_GT(attribute_registry.parallel.tasks_run, 0u);
+}
+
+// A one-lane check runs its branches inline even when the caller lends
+// it a pool (a server with a wide pool answering `"jobs": 1`): the same
+// result as a check with no pool, and no pool task runs.
+TEST(PoolCountersTest, OneLaneCheckOnABorrowedPoolRunsInline) {
+  model::SystemModel model = UnlockModel();
+  checker::Checker checker(model);
+  checker::CheckOptions options;
+  options.max_events = 3;
+  options.model_failures = true;
+  checker::CheckResult alone = checker.Run(options);
+
+  auto pool = std::make_unique<util::ThreadPool>(4);
+  options.pool = pool.get();
+  Registry registry;
+  SetActive(&registry);
+  checker::CheckResult borrowed = checker.Run(options);
+  pool.reset();  // a destroyed pool reports the tasks it ran
+  SetActive(nullptr);
+
+  EXPECT_EQ(registry.parallel.branch_tasks, 0u);
+  EXPECT_EQ(registry.parallel.pools_created, 0u);
+  EXPECT_EQ(registry.parallel.tasks_run, 0u);
+  EXPECT_EQ(borrowed.jobs, 1);
+  EXPECT_EQ(borrowed.parallel_branches, 0u);
+  EXPECT_TRUE(borrowed.worker_states_explored.empty());
+  ASSERT_FALSE(borrowed.violations.empty());
+  alone.seconds = borrowed.seconds = 0;
+  EXPECT_EQ(checker::CheckResultToJson(alone).Dump(),
+            checker::CheckResultToJson(borrowed).Dump());
 }
 
 // ---- Pipeline counters -------------------------------------------------------

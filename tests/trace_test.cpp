@@ -223,6 +223,14 @@ TEST(ArtifactTest, ReplayRefutesTamperedArtifact) {
   ReplayResult replay = checker.Replay(artifact);
   EXPECT_FALSE(replay.reproduced);
   EXPECT_EQ(replay.fired_step, -1);
+
+  // An interleaving past the step's outcome list (a sequential step has
+  // one) is not clamped onto the last outcome: the path ends there.
+  ViolationArtifact past_end = MakeArtifact(v, options, "home", "hash");
+  past_end.steps.front().outcome_index = 3;
+  replay = checker.Replay(past_end);
+  EXPECT_FALSE(replay.reproduced) << replay.message;
+  EXPECT_EQ(replay.fired_step, -1);
 }
 
 TEST(ArtifactTest, ReplayRejectsUnknownCoordinates) {
@@ -236,6 +244,16 @@ TEST(ArtifactTest, ReplayRejectsUnknownCoordinates) {
       MakeArtifact(*result.Find("P06"), options, "home", "hash");
   artifact.steps.front().device = "nosuchdevice";
   EXPECT_THROW(checker.Replay(artifact), Error);
+
+  ViolationArtifact negative =
+      MakeArtifact(*result.Find("P06"), options, "home", "hash");
+  negative.steps.front().outcome_index = -1;
+  EXPECT_THROW(checker.Replay(negative), Error);
+  bool flagged = false;
+  for (const std::string& problem : ValidateArtifact(negative, "")) {
+    flagged = flagged || problem.find("outcome_index") != std::string::npos;
+  }
+  EXPECT_TRUE(flagged);
 }
 
 // ---- Reverify-bitstate -------------------------------------------------------
